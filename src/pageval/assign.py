@@ -18,6 +18,7 @@ mismatch count (hence the smallest hWER) of the optimal family.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,7 +26,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .core import Alignment, EmptyReferenceError, StructureError
-from .editdist import char_distance
+from .editdist import _myers_distance, char_distance
 
 
 @dataclass(frozen=True)
@@ -42,16 +43,35 @@ class CostMatrix:
         return self.n_ref + self.n_hyp
 
 
-_PAIR_BLOCK_CELLS = 1 << 21  # keep the batched DP state under ~200 MB
+# Pairs per block of reference rows: each (v, u) uint64 lane array is then at
+# most 16 MB, and the kernel keeps about eight of them alive.
+_PAIR_BLOCK_CELLS = 1 << 21
+_LANE_BITS = 64
+
+
+def _codepoints(words: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenated code points, each one's word index and its position in
+    the word, for a list of words."""
+    lens = np.fromiter((len(w) for w in words), dtype=np.int64, count=len(words))
+    flat = np.frombuffer("".join(words).encode("utf-32-le"), dtype=np.uint32)
+    owner = np.repeat(np.arange(len(words)), lens)
+    pos = np.arange(flat.size) - np.repeat(np.cumsum(lens) - lens, lens)
+    return flat, owner, pos
 
 
 def _unique_pair_table(ux: list[str], uy: list[str]) -> np.ndarray:
-    """Levenshtein distance for every unique word pair, as one batched DP.
+    """Levenshtein distance for every unique word pair, as one batched
+    bit-parallel kernel (Myers 1999, in Hyyro's edit-distance form).
 
-    All pairs advance through the same (row, column) loop over padded
-    character matrices, so the per-cell work is a handful of vectorized
-    operations on (|ux|, |uy|) arrays instead of a Python-level DP per pair.
-    Very large vocabularies are processed in row blocks to bound memory.
+    Each (reference word, hypothesis word) pair is one uint64 lane: the
+    reference word is the bit-vector pattern, the hypothesis word the text
+    scanned one character per step.  Hypothesis words are visited longest
+    first, so the pairs still running at character t are a prefix of the
+    (v, u) lane arrays.  Carries and shifts only move bits upward, so bits
+    above a pattern's length never disturb the ones below and need no mask.
+    Reference words that do not fit a lane (empty, or over 64 characters)
+    fall back to the bigint engine one pair at a time.  Very large
+    vocabularies are processed in row blocks to bound memory.
     """
     u, v = len(ux), len(uy)
     if u * v > _PAIR_BLOCK_CELLS:
@@ -61,36 +81,68 @@ def _unique_pair_table(ux: list[str], uy: list[str]) -> np.ndarray:
         )
     la = np.fromiter((len(w) for w in ux), dtype=np.int64, count=u)
     lb = np.fromiter((len(w) for w in uy), dtype=np.int64, count=v)
-    max_a = int(la.max())
-    max_b = int(lb.max())
-    a_chars = np.zeros((u, max_a), dtype=np.uint32)
-    for i, w in enumerate(ux):
-        a_chars[i, : len(w)] = np.frombuffer(w.encode("utf-32-le"), dtype=np.uint32)
-    b_chars = np.zeros((v, max_b), dtype=np.uint32)
-    for i, w in enumerate(uy):
-        b_chars[i, : len(w)] = np.frombuffer(w.encode("utf-32-le"), dtype=np.uint32)
+    table = np.empty((u, v), dtype=np.float64)
+    if u == 0 or v == 0:
+        return table
 
-    # row[jb] holds D[ia][jb] for every pair at the current ia
-    row = np.empty((max_b + 1, u, v), dtype=np.int64)
-    for jb in range(max_b + 1):
-        row[jb] = jb
-    result = np.empty((u, v), dtype=np.int64)
-    for ia in range(1, max_a + 1):
-        prev = row.copy()
-        row[0] = ia
-        achar = a_chars[:, ia - 1][:, None]
-        for jb in range(1, max_b + 1):
-            sub = prev[jb - 1] + (achar != b_chars[:, jb - 1][None, :])
-            np.minimum(sub, prev[jb] + 1, out=sub)
-            np.minimum(sub, row[jb - 1] + 1, out=sub)
-            row[jb] = sub
-        done = la == ia
-        if done.any():
-            snap = row[:, done, :]  # (max_b + 1, k, v)
-            result[done, :] = np.take_along_axis(
-                snap, lb[None, None, :].repeat(int(done.sum()), axis=1), axis=0
-            )[0]
-    return result.astype(np.float64)
+    # character codes: 1.. for characters of the reference words, 0 (all
+    # masks zero) for characters seen only in the hypothesis
+    a_flat, a_owner, a_pos = _codepoints(ux)
+    alphabet, a_code = np.unique(a_flat, return_inverse=True)
+    in_lane = a_pos < _LANE_BITS
+    peq = np.zeros((alphabet.size + 1, u), dtype=np.uint64)
+    np.bitwise_or.at(
+        peq,
+        (a_code[in_lane] + 1, a_owner[in_lane]),
+        np.left_shift(np.uint64(1), a_pos[in_lane].astype(np.uint64)),
+    )
+
+    b_flat, b_owner, b_pos = _codepoints(uy)
+    found = np.searchsorted(alphabet, b_flat)
+    hit = found < alphabet.size
+    hit[hit] = alphabet[found[hit]] == b_flat[hit]
+    order = np.argsort(-lb, kind="stable")
+    rank = np.empty(v, dtype=np.int64)
+    rank[order] = np.arange(v)
+    max_b = int(lb[order[0]])
+    # text[t, :k]: character t of the k hypothesis words still running
+    text = np.zeros((max_b, v), dtype=np.intp)
+    text[b_pos, rank[b_owner]] = np.where(hit, found + 1, 0)
+    running = v - np.cumsum(np.bincount(lb, minlength=max_b + 1))[:max_b]
+
+    shift = np.clip(la - 1, 0, _LANE_BITS - 1).astype(np.uint64)
+    vp = np.full((v, u), np.iinfo(np.uint64).max, dtype=np.uint64)
+    vn = np.zeros((v, u), dtype=np.uint64)
+    score = np.tile(la.astype(np.uint64), (v, 1))
+    for t in range(max_b):
+        k = int(running[t])
+        vp_k, vn_k, score_k = vp[:k], vn[:k], score[:k]
+        x = peq[text[t, :k]]
+        x |= vn_k
+        d0 = x & vp_k
+        d0 += vp_k
+        d0 ^= vp_k
+        d0 |= x
+        hp = d0 | vp_k
+        np.invert(hp, out=hp)
+        hp |= vn_k
+        hn = np.bitwise_and(d0, vp_k, out=x)
+        # the last pattern row's horizontal delta moves the score; an hp and
+        # an hn bit never coincide, so the running score never underflows
+        score_k += (hp >> shift) & np.uint64(1)
+        score_k -= (hn >> shift) & np.uint64(1)
+        hp <<= np.uint64(1)
+        hp |= np.uint64(1)
+        hn <<= np.uint64(1)
+        np.bitwise_or(d0, hp, out=vp_k)
+        np.invert(vp_k, out=vp_k)
+        vp_k |= hn
+        np.bitwise_and(d0, hp, out=vn_k)
+    table[:] = score[rank].T
+
+    for i in np.flatnonzero((la == 0) | (la > _LANE_BITS)).tolist():
+        table[i] = [_myers_distance(ux[i], w) for w in uy]
+    return table
 
 
 def _pair_costs(
@@ -145,17 +197,30 @@ def _assemble(
     return values
 
 
+def check_gamma(gamma: float) -> float:
+    """Return the regularization factor if it is finite and non-negative;
+    raise StructureError otherwise (NaN or infinity would poison the
+    assignment costs)."""
+    if not math.isfinite(gamma) or gamma < 0:
+        raise StructureError(
+            f"gamma must be a finite non-negative number, got {gamma!r}"
+        )
+    return gamma
+
+
+def _check_args(x: Sequence[str], gamma: float) -> None:
+    if len(x) == 0:
+        raise EmptyReferenceError("assignment costs need a non-empty reference")
+    check_gamma(gamma)
+
+
 def build_cost_matrix(
     x: Sequence[str], y: Sequence[str], gamma: float = 1.0
 ) -> CostMatrix:
     """Assemble the regularized assignment costs for two word sequences."""
-    n, m = len(x), len(y)
-    if n == 0:
-        raise EmptyReferenceError("assignment costs need a non-empty reference")
-    if gamma < 0:
-        raise StructureError("gamma must be non-negative")
+    _check_args(x, gamma)
     return CostMatrix(
-        values=_assemble(x, y, gamma), n_ref=n, n_hyp=m, gamma=gamma
+        values=_assemble(x, y, gamma), n_ref=len(x), n_hyp=len(y), gamma=gamma
     )
 
 
@@ -187,11 +252,8 @@ def _canonical_solve(
     per dummy pair) so ties resolve toward the lowest hWER; epsilon is small
     enough that cost optimality is untouched.
     """
+    _check_args(x, gamma)
     n, m = len(x), len(y)
-    if n == 0:
-        raise EmptyReferenceError("assignment costs need a non-empty reference")
-    if gamma < 0:
-        raise StructureError("gamma must be non-negative")
     eps = 1e-8 / (n + m)
     values = _assemble(x, y, gamma, mismatch_bonus=eps, dummy_bonus=eps / 2)
     rows, cols = linear_sum_assignment(values)

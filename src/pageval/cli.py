@@ -20,7 +20,8 @@ from pathlib import Path
 from typing import Sequence
 
 from . import simulate
-from .core import EvalError, IngestionError, PageTranscript, tokenize_page
+from .assign import check_gamma
+from .core import EvalError, IngestionError, PageTranscript, StructureError, tokenize_page
 from .report import DEFAULT_GAMMA, CorpusReport, PageReport, aggregate, evaluate_page
 
 SCHEMA_VERSION = "pageval-report/1"
@@ -37,8 +38,29 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _gamma(text: str) -> float:
+    try:
+        return check_gamma(float(text))
+    except (ValueError, StructureError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _iter_pages(root: Path) -> list[Path]:
-    return sorted(p for p in root.rglob("*") if p.is_file())
+    """Page files under root; dotfiles and anything under a dot-directory
+    (.DS_Store, .git, editor swap files) are not pages."""
+    return sorted(
+        p
+        for p in root.rglob("*")
+        if p.is_file()
+        and not any(part.startswith(".") for part in p.relative_to(root).parts)
+    )
 
 
 def _load_page(path: Path, page_id: str) -> PageTranscript:
@@ -336,14 +358,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a hypothesis corpus against a reference")
     p_eval.add_argument("--ref", required=True, help="reference corpus directory")
     p_eval.add_argument("--hyp", required=True, help="hypothesis corpus directory")
-    p_eval.add_argument("--gamma", type=float, default=DEFAULT_GAMMA,
+    p_eval.add_argument("--gamma", type=_gamma, default=DEFAULT_GAMMA,
                         help="assignment regularization factor (default: %(default)s)")
     p_eval.add_argument("--format", choices=("json", "tsv"), default="json")
     p_eval.add_argument("--out", help="write the report here instead of stdout")
     p_eval.add_argument("--per-page", action="store_true", help="include per-page rows")
     p_eval.add_argument("--timing", action="store_true",
                         help="include per-metric timings in JSON output")
-    p_eval.add_argument("--jobs", type=int, default=1, help="parallel page workers")
+    p_eval.add_argument("--jobs", type=_positive_int, default=1,
+                        help="parallel page workers")
     p_eval.set_defaults(func=cmd_eval)
 
     p_sim = sub.add_parser("simulate", help="write a distorted copy of a corpus")
@@ -366,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--splits", type=int, default=0, help="line splits per page")
     p_sim.add_argument("--sweep", type=int, default=None, metavar="MAX",
                        help="evaluate a parameter sweep up to MAX and write sweep.tsv")
-    p_sim.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
+    p_sim.add_argument("--gamma", type=_gamma, default=DEFAULT_GAMMA)
     p_sim.set_defaults(func=cmd_simulate)
     return parser
 

@@ -5,10 +5,13 @@ All edit operations have unit cost.  Backtrace tie-breaking prefers
 match/substitution over deletion over insertion, which keeps traces and
 operation counts deterministic; the distance itself is tie-independent.
 
-Two engines are used: a plain-Python full-table DP for word sequences
-(needed for the backtrace) and a vectorized anti-diagonal DP for character
-strings, which propagates (ins, sub, del) counts without storing the table
-so page-sized strings stay cheap.
+Engines: a plain-Python full-table DP for word sequences (needed for the
+backtrace); a vectorized anti-diagonal DP for character strings, which
+propagates (ins, sub, del) counts without storing the table; a bigint
+bit-parallel (Myers) distance for page-sized strings when only the distance
+is needed; and a memoized two-row DP, `levenshtein`, kept as a public
+helper.  The assignment pair costs come from the batched bit-parallel kernel
+in `assign`, which falls back to `_myers_distance` for long words.
 """
 
 from __future__ import annotations
@@ -178,7 +181,8 @@ def _myers_distance(a: str, b: str) -> int:
 
     Distance only, no counts; Python integers serve as unbounded bit
     vectors so any pattern length works.  Used for page-sized strings where
-    the counting DP would be needlessly slow.
+    the counting DP would be needlessly slow, and by the assignment pair
+    table for words too long for its 64-bit lanes.
     """
     if a == b:
         return 0
@@ -223,8 +227,8 @@ def char_distance(x: Sequence[str], y: Sequence[str]) -> int:
 def levenshtein(a: str, b: str) -> int:
     """Plain character-level Levenshtein distance (two-row DP, memoized).
 
-    Used for word-to-word costs in the assignment matrix, where the same
-    vocabulary pairs recur across a corpus.
+    A public convenience for single string pairs; no metric path calls it
+    (the assignment matrix batches its word pairs in `assign`).
     """
     if a == b:
         return 0

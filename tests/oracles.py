@@ -8,21 +8,33 @@ check.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Sequence
 
 
 def edit_distance_bruteforce(x: Sequence, y: Sequence) -> int:
-    """Unit-cost edit distance by exhaustive recursion (no memoization)."""
-    if not x:
-        return len(y)
-    if not y:
-        return len(x)
-    return min(
-        edit_distance_bruteforce(x[1:], y[1:]) + (x[0] != y[0]),
-        edit_distance_bruteforce(x[1:], y) + 1,
-        edit_distance_bruteforce(x, y[1:]) + 1,
-    )
+    """Unit-cost edit distance by plain recursion over suffix pairs.
+
+    Memoized within one call (a fresh cache per call, keyed by the suffix
+    start indices), so it runs in O(|x|*|y|) steps instead of exponential
+    time; the recursion itself is the textbook definition.
+    """
+    x, y = tuple(x), tuple(y)
+
+    @lru_cache(maxsize=None)
+    def dist(i: int, j: int) -> int:
+        if i == len(x):
+            return len(y) - j
+        if j == len(y):
+            return len(x) - i
+        return min(
+            dist(i + 1, j + 1) + (x[i] != y[j]),
+            dist(i + 1, j) + 1,
+            dist(i, j + 1) + 1,
+        )
+
+    return dist(0, 0)
 
 
 def lev_bruteforce(a: str, b: str) -> int:

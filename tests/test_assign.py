@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pageval import assign
 from pageval.assign import (
     build_cost_matrix,
     hcer,
@@ -26,7 +27,7 @@ from conftest import (
     alignment_of,
     random_word,
 )
-from oracles import alignment_cost_exact, assignment_cost_bruteforce
+from oracles import alignment_cost_exact, assignment_cost_bruteforce, lev_bruteforce
 
 
 def test_cost_matrix_cells():
@@ -48,6 +49,53 @@ def test_cost_matrix_rejects_bad_inputs():
         build_cost_matrix([], ["a"])
     with pytest.raises(StructureError):
         build_cost_matrix(["a"], ["a"], gamma=-1.0)
+
+
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf"), float("-inf"), -1.0])
+def test_non_finite_or_negative_gamma_rejected(gamma):
+    with pytest.raises(StructureError, match="finite non-negative"):
+        build_cost_matrix(["a"], ["b"], gamma)
+    with pytest.raises(StructureError, match="finite non-negative"):
+        hwer(["a"], ["b"], gamma)
+
+
+def _vocab(rng: random.Random, alphabet: str, lengths) -> list[str]:
+    return sorted({"".join(rng.choice(alphabet) for _ in range(n)) for n in lengths})
+
+
+def _pair_table_cases():
+    rng = random.Random(61)
+    short = [rng.randint(1, 7) for _ in range(14)]
+    # lane edge: 63 and 64 fit one uint64 lane, 65 and ~80 take the fallback
+    edges = [1, 63, 64, 65, 79, 80, 82]
+    return [
+        pytest.param(_vocab(rng, "ab", short), _vocab(rng, "ab", short),
+                     id="ab-alphabet"),
+        pytest.param(_vocab(rng, "äöüßΩж漢é", short), _vocab(rng, "aäöß漢", short),
+                     id="non-ascii"),
+        pytest.param(_vocab(rng, "abc", short), _vocab(rng, "xyz#ЯbÆ", short),
+                     id="hypothesis-only"),
+        pytest.param(_vocab(rng, "abc", edges), _vocab(rng, "abcd", edges + [2, 40]),
+                     id="lane-edge"),
+        pytest.param(["", "a", "ab"], ["", "b", "ba"], id="empty-words"),
+    ]
+
+
+@pytest.mark.parametrize("ux,uy", _pair_table_cases())
+def test_unique_pair_table_matches_bruteforce(ux, uy):
+    got = assign._unique_pair_table(ux, uy)
+    want = [[lev_bruteforce(a, b) for b in uy] for a in ux]
+    assert got.dtype == np.float64
+    assert got.tolist() == want
+
+
+def test_unique_pair_table_row_blocks(monkeypatch):
+    rng = random.Random(67)
+    ux = _vocab(rng, "abc", [rng.randint(1, 9) for _ in range(11)] + [70])
+    uy = _vocab(rng, "abcx", [rng.randint(1, 9) for _ in range(5)])
+    monkeypatch.setattr(assign, "_PAIR_BLOCK_CELLS", 3 * len(uy))
+    got = assign._unique_pair_table(ux, uy)
+    assert got.tolist() == [[lev_bruteforce(a, b) for b in uy] for a in ux]
 
 
 def test_solve_single_real_pair():

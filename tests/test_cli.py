@@ -187,3 +187,39 @@ def test_simulate_char_sweep_includes_schedule_columns(tmp_path):
                  "--mode", "char-word", "--seed", "3", "--sweep", "2"]) == 0
     header = (out_dir / "sweep.tsv").read_text().splitlines()[0].split("\t")
     assert "tCER" in header and "tWER" in header
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf", "-inf", "-1"])
+def test_non_finite_gamma_is_usage_error(tiny_corpus, tmp_path, gamma, capsys):
+    ref, hyp = tiny_corpus
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--ref", str(ref), "--hyp", str(hyp), f"--gamma={gamma}"])
+    assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--ref", str(ref), "--out-dir", str(tmp_path / "out"),
+              "--mode", "swap", "--sweep", "1", f"--gamma={gamma}"])
+    assert exc.value.code == 1
+    assert "finite non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_usage_error(tiny_corpus, jobs, capsys):
+    ref, hyp = tiny_corpus
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--ref", str(ref), "--hyp", str(hyp), f"--jobs={jobs}"])
+    assert exc.value.code == 1
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_eval_skips_dotfiles(tiny_corpus, tmp_path):
+    ref, hyp = tiny_corpus
+    clean = tmp_path / "clean.json"
+    assert main(["eval", "--ref", str(ref), "--hyp", str(hyp), "--out", str(clean),
+                 "--per-page"]) == 0
+    (ref / ".DS_Store").write_bytes(b"\x00\x00\x00\x01Bud1")
+    (hyp / "sub" / ".DS_Store").write_bytes(b"\x00\x00\x00\x01Bud1")
+    write_corpus(ref / ".cache", {"stale.txt": "not a page\n"})
+    stray = tmp_path / "stray.json"
+    assert main(["eval", "--ref", str(ref), "--hyp", str(hyp), "--out", str(stray),
+                 "--per-page"]) == 0
+    assert stray.read_bytes() == clean.read_bytes()
