@@ -21,7 +21,6 @@ from .core import (
     PageTranscript,
     StructureError,
     Trace,
-    flatten,
     join_words,
     tokenize_page,
 )
@@ -29,7 +28,6 @@ from .editdist import (
     cer,
     char_edit_distance,
     edit_distance,
-    levenshtein,
     page_wer_by_lines,
     page_wer_concat,
     wer,
@@ -76,11 +74,9 @@ __all__ = [
     "distort_corpus",
     "edit_distance",
     "evaluate_page",
-    "flatten",
     "hcer",
     "hwer",
     "join_words",
-    "levenshtein",
     "nsfd",
     "page_wer_by_lines",
     "page_wer_concat",

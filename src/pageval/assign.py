@@ -156,17 +156,13 @@ def _pair_costs(
     """
     ux = sorted(set(x))
     uy = sorted(set(y))
+    idx_x = {w: i for i, w in enumerate(ux)}
+    idx_y = {w: i for i, w in enumerate(uy)}
     table = _unique_pair_table(ux, uy)
     if mismatch_bonus:
         table = table + mismatch_bonus
-        common = set(ux) & set(uy)
-        if common:
-            idx_a = {w: i for i, w in enumerate(ux)}
-            idx_b = {w: i for i, w in enumerate(uy)}
-            for w in common:
-                table[idx_a[w], idx_b[w]] -= mismatch_bonus
-    idx_x = {w: i for i, w in enumerate(ux)}
-    idx_y = {w: i for i, w in enumerate(uy)}
+        for w in idx_x.keys() & idx_y.keys():
+            table[idx_x[w], idx_y[w]] -= mismatch_bonus
     rows = np.fromiter((idx_x[w] for w in x), dtype=np.intp, count=len(x))
     cols = np.fromiter((idx_y[w] for w in y), dtype=np.intp, count=len(y))
     return table[rows[:, None], cols[None, :]]
@@ -224,14 +220,9 @@ def build_cost_matrix(
     )
 
 
-def solve_assignment(matrix: CostMatrix) -> tuple[Alignment, float]:
-    """Minimum-cost perfect matching; dummy-dummy pairs are stripped.
-
-    The returned cost is the full matching cost (dummy-dummy cells are 0).
-    """
-    rows, cols = linear_sum_assignment(matrix.values)
-    cost = float(matrix.values[rows, cols].sum())
-    n, m = matrix.n_ref, matrix.n_hyp
+def _decode_pairs(rows: np.ndarray, cols: np.ndarray, n: int, m: int) -> Alignment:
+    """Alignment from a square-layout matching: a row or column index past
+    the real words is a dummy, and dummy-dummy pairs are dropped."""
     pairs = []
     for r, c in zip(rows.tolist(), cols.tolist()):
         if r < n and c < m:
@@ -240,7 +231,17 @@ def solve_assignment(matrix: CostMatrix) -> tuple[Alignment, float]:
             pairs.append((r, None))
         elif c < m:
             pairs.append((None, c))
-    return Alignment(frozenset(pairs)), cost
+    return Alignment(frozenset(pairs))
+
+
+def solve_assignment(matrix: CostMatrix) -> tuple[Alignment, float]:
+    """Minimum-cost perfect matching; dummy-dummy pairs are stripped.
+
+    The returned cost is the full matching cost (dummy-dummy cells are 0).
+    """
+    rows, cols = linear_sum_assignment(matrix.values)
+    cost = float(matrix.values[rows, cols].sum())
+    return _decode_pairs(rows, cols, matrix.n_ref, matrix.n_hyp), cost
 
 
 def _canonical_solve(
@@ -256,16 +257,7 @@ def _canonical_solve(
     n, m = len(x), len(y)
     eps = 1e-8 / (n + m)
     values = _assemble(x, y, gamma, mismatch_bonus=eps, dummy_bonus=eps / 2)
-    rows, cols = linear_sum_assignment(values)
-    pairs = []
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        if r < n and c < m:
-            pairs.append((r, c))
-        elif r < n:
-            pairs.append((r, None))
-        elif c < m:
-            pairs.append((None, c))
-    return Alignment(frozenset(pairs))
+    return _decode_pairs(*linear_sum_assignment(values), n, m)
 
 
 def hwer_errors(

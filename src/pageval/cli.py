@@ -6,7 +6,7 @@ physical line per text line, reading order given by file order.  Reference
 and hypothesis pages are paired by identical relative path.
 
 Exit codes: 0 success, 1 usage error, 2 data errors (missing hypothesis
-pages, unreadable files, empty references).
+or reference pages, unreadable files, empty references).
 """
 
 from __future__ import annotations
@@ -25,10 +25,23 @@ from .core import EvalError, IngestionError, PageTranscript, StructureError, tok
 from .report import DEFAULT_GAMMA, CorpusReport, PageReport, aggregate, evaluate_page
 
 SCHEMA_VERSION = "pageval-report/1"
+# `simulate` writes its manifest next to the distorted pages, so a simulated
+# corpus used as a hypothesis corpus has this one file that is not a page.
+MANIFEST = "manifest.json"
 
-# Report column order follows the corpus summary tables: reading-order
+# Metric columns of every report (JSON, TSV, sweep.tsv): header -> report
+# attribute.  The order follows the corpus summary tables: reading-order
 # distance first, then the WER family, then character rates.
-TSV_COLUMNS = ("NSFD", "dWER", "WER", "bWER", "hWER", "CER", "hCER")
+COLUMNS = {
+    "NSFD": "nsfd",
+    "dWER": "delta_wer",
+    "WER": "wer",
+    "bWER": "bwer",
+    "hWER": "hwer",
+    "CER": "cer",
+    "hCER": "hcer",
+}
+TSV_COLUMNS = tuple(COLUMNS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,16 +84,8 @@ def _load_page(path: Path, page_id: str) -> PageTranscript:
     return tokenize_page(data, page_id)
 
 
-def _page_row(report: PageReport) -> dict:
-    return {
-        "NSFD": report.nsfd,
-        "dWER": report.delta_wer,
-        "WER": report.wer,
-        "bWER": report.bwer,
-        "hWER": report.hwer,
-        "CER": report.cer,
-        "hCER": report.hcer,
-    }
+def _metrics(report: PageReport | CorpusReport) -> dict:
+    return {col: getattr(report, attr) for col, attr in COLUMNS.items()}
 
 
 def _percent_row(values: dict) -> list[str]:
@@ -93,7 +98,7 @@ def _page_json(report: PageReport, timing: bool) -> dict:
         "n_words": report.n_words,
         "n_chars": report.n_chars,
         "n_hyp_words": report.n_hyp_words,
-        "metrics": _page_row(report),
+        "metrics": _metrics(report),
         "extra": {
             "beta_wer": report.beta_wer,
             "delta_wer_h": report.delta_wer_h,
@@ -120,15 +125,7 @@ def _corpus_json(corpus: CorpusReport) -> dict:
         "n_pages": len(corpus.pages),
         "n_words": corpus.n_words,
         "n_chars": corpus.n_chars,
-        "metrics": {
-            "NSFD": corpus.nsfd,
-            "dWER": corpus.delta_wer,
-            "WER": corpus.wer,
-            "bWER": corpus.bwer,
-            "hWER": corpus.hwer,
-            "CER": corpus.cer,
-            "hCER": corpus.hcer,
-        },
+        "metrics": _metrics(corpus),
         "extra": {"beta_wer": corpus.beta_wer, "delta_wer_h": corpus.delta_wer_h},
         "wer_counts": asdict(corpus.wer_counts),
         "bwer_counts": asdict(corpus.bwer_counts),
@@ -178,6 +175,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     reports = [r for _, r, err in results if r is not None]
     errors = [(rel, err) for rel, r, err in results if err is not None]
+    paired = {rel for rel, _, _ in results} | {MANIFEST}
+    for hyp_path in _iter_pages(hyp_dir):
+        rel = hyp_path.relative_to(hyp_dir).as_posix()
+        if rel not in paired:
+            errors.append((rel, "no reference page"))
+    errors.sort()
     for rel, err in errors:
         print(f"eval: {rel}: {err}", file=sys.stderr)
     for rel in missing:
@@ -203,10 +206,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             lines = ["\t".join(("page_id",) + TSV_COLUMNS)]
             if args.per_page:
                 for r in reports:
-                    lines.append("\t".join([r.page_id] + _percent_row(_page_row(r))))
-            lines.append(
-                "\t".join(["#corpus"] + _percent_row(_page_row_corpus(corpus)))
-            )
+                    lines.append("\t".join([r.page_id] + _percent_row(_metrics(r))))
+            lines.append("\t".join(["#corpus"] + _percent_row(_metrics(corpus))))
             out_text = "\n".join(lines) + "\n"
 
     if args.out:
@@ -217,18 +218,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if errors or missing:
         return 2
     return 0
-
-
-def _page_row_corpus(corpus: CorpusReport) -> dict:
-    return {
-        "NSFD": corpus.nsfd,
-        "dWER": corpus.delta_wer,
-        "WER": corpus.wer,
-        "bWER": corpus.bwer,
-        "hWER": corpus.hwer,
-        "CER": corpus.cer,
-        "hCER": corpus.hcer,
-    }
 
 
 def _write_corpus(pages: Sequence[PageTranscript], out_dir: Path) -> None:
@@ -279,7 +268,7 @@ def _sweep_rows(
                 [evaluate_page(r, h, args.gamma) for r, h in zip(pages, distorted)]
             )
             rows.append(
-                {"parameter": n, **_page_row_corpus(corpus),
+                {"parameter": n, **_metrics(corpus),
                  "tCER": simulate.tcer(n), "tWER": simulate.predict_twer(n, avg_wlen)}
             )
         return rows
@@ -290,7 +279,7 @@ def _sweep_rows(
         corpus = aggregate(
             [evaluate_page(r, h, args.gamma) for r, h in zip(pages, distorted)]
         )
-        row = {"parameter": count, **_page_row_corpus(corpus)}
+        row = {"parameter": count, **_metrics(corpus)}
         if cfg.mode == simulate.LINE_SWAP:
             lo, hi = cfg.swap_range
             row["tNSFD"] = simulate.predict_nsfd_swaps(count, lo, hi, line_counts)
@@ -345,7 +334,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     distorted, manifest = simulate.distort_corpus(pages, cfg)
     _write_corpus(distorted, out_dir)
-    (out_dir / "manifest.json").write_text(
+    (out_dir / MANIFEST).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return 0

@@ -100,11 +100,6 @@ def tokenize_page(raw: str | bytes, page_id: str = "") -> PageTranscript:
     return PageTranscript(lines=lines, page_id=page_id)
 
 
-def flatten(page: PageTranscript) -> tuple[str, ...]:
-    """Concatenate the page's lines into one word sequence."""
-    return page.words
-
-
 def join_words(words: Sequence[str]) -> str:
     """Join words with single spaces (the character-metric convention)."""
     return " ".join(words)

@@ -5,21 +5,19 @@ All edit operations have unit cost.  Backtrace tie-breaking prefers
 match/substitution over deletion over insertion, which keeps traces and
 operation counts deterministic; the distance itself is tie-independent.
 
-Engines: a plain-Python full-table DP for word sequences (needed for the
-backtrace); a vectorized anti-diagonal DP for character strings, which
-propagates (ins, sub, del) counts without storing the table; a bigint
-bit-parallel (Myers) distance for page-sized strings when only the distance
-is needed; and a memoized two-row DP, `levenshtein`, kept as a public
-helper.  The assignment pair costs come from the batched bit-parallel kernel
-in `assign`, which falls back to `_myers_distance` for long words.
+Three engines compute edit distances:
+- `edit_distance`: a plain-Python full-table DP with backtrace, for word
+  sequences and (through `char_edit_distance`) character counts;
+- `_myers_distance`: a bigint bit-parallel (Myers) distance for page-sized
+  strings when only the distance is needed;
+- `assign._unique_pair_table`: a batched bit-parallel kernel with one uint64
+  lane per word pair, for the assignment pair costs; it falls back to
+  `_myers_distance` for words too long for a lane.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
-
-import numpy as np
 
 from .core import (
     EditCounts,
@@ -88,94 +86,6 @@ def edit_distance(
     return dist[n][m], counts, Trace(tuple(pairs))
 
 
-def _char_dp_counts(a: str, b: str) -> tuple[int, EditCounts]:
-    """Anti-diagonal Levenshtein over Unicode scalars with count propagation.
-
-    Cells on diagonal t depend only on diagonals t-1 and t-2, so each step is
-    a handful of vector operations.  Per-cell ties resolve in the same
-    priority order as the word backtrace (diagonal, deletion, insertion).
-    """
-    n, m = len(a), len(b)
-    if n == 0:
-        return m, EditCounts(insertions=m)
-    if m == 0:
-        return n, EditCounts(deletions=n)
-    xa = np.frombuffer(a.encode("utf-32-le"), dtype=np.uint32)
-    yb = np.frombuffer(b.encode("utf-32-le"), dtype=np.uint32)
-
-    BIG = np.int64(1) << 40
-    # state per diagonal: distance + the three counts, indexed by row i
-    d1 = np.array([1, 1], dtype=np.int64)  # t=1: cells (0,1) and (1,0)
-    i1 = np.array([1, 0], dtype=np.int64)
-    s1 = np.array([0, 0], dtype=np.int64)
-    l1 = np.array([0, 1], dtype=np.int64)
-    lo1 = 0
-    d2 = np.array([0], dtype=np.int64)  # t=0: cell (0,0)
-    i2 = np.array([0], dtype=np.int64)
-    s2 = np.array([0], dtype=np.int64)
-    l2 = np.array([0], dtype=np.int64)
-    lo2 = 0
-    # adjust t=1 boundary when one string has length < 1 handled above
-    for t in range(2, n + m + 1):
-        lo = max(0, t - m)
-        hi = min(n, t)
-        rows = np.arange(lo, hi + 1)
-        size = rows.shape[0]
-        cd = np.full(size, BIG, dtype=np.int64)
-        cu = np.full(size, BIG, dtype=np.int64)
-        cl = np.full(size, BIG, dtype=np.int64)
-
-        # diagonal predecessor (i-1, j-1) lives on diagonal t-2
-        pv = rows - 1 - lo2
-        ok = (rows >= 1) & (t - rows >= 1) & (pv >= 0) & (pv < d2.shape[0])
-        ia = rows - 1
-        jb = t - rows - 1
-        cost = np.ones(size, dtype=np.int64)
-        eq = np.zeros(size, dtype=bool)
-        eq[ok] = xa[ia[ok]] == yb[jb[ok]]
-        cost[eq] = 0
-        cd[ok] = d2[np.clip(pv, 0, d2.shape[0] - 1)][ok] + cost[ok]
-
-        # deletion predecessor (i-1, j) on diagonal t-1
-        pv = rows - 1 - lo1
-        ok_u = (rows >= 1) & (t - rows <= m) & (pv >= 0) & (pv < d1.shape[0])
-        cu[ok_u] = d1[np.clip(pv, 0, d1.shape[0] - 1)][ok_u] + 1
-
-        # insertion predecessor (i, j-1) on diagonal t-1
-        pv = rows - lo1
-        ok_l = (t - rows >= 1) & (pv >= 0) & (pv < d1.shape[0])
-        cl[ok_l] = d1[np.clip(pv, 0, d1.shape[0] - 1)][ok_l] + 1
-
-        choice = np.where(cd <= np.minimum(cu, cl), 0, np.where(cu <= cl, 1, 2))
-        nd = np.where(choice == 0, cd, np.where(choice == 1, cu, cl))
-
-        ni = np.zeros(size, dtype=np.int64)
-        ns = np.zeros(size, dtype=np.int64)
-        nl = np.zeros(size, dtype=np.int64)
-        pv = np.clip(rows - 1 - lo2, 0, d2.shape[0] - 1)
-        mk = choice == 0
-        ni[mk] = i2[pv[mk]]
-        ns[mk] = s2[pv[mk]] + cost[mk]
-        nl[mk] = l2[pv[mk]]
-        pv = np.clip(rows - 1 - lo1, 0, d1.shape[0] - 1)
-        mk = choice == 1
-        ni[mk] = i1[pv[mk]]
-        ns[mk] = s1[pv[mk]]
-        nl[mk] = l1[pv[mk]] + 1
-        pv = np.clip(rows - lo1, 0, d1.shape[0] - 1)
-        mk = choice == 2
-        ni[mk] = i1[pv[mk]] + 1
-        ns[mk] = s1[pv[mk]]
-        nl[mk] = l1[pv[mk]]
-
-        d2, i2, s2, l2, lo2 = d1, i1, s1, l1, lo1
-        d1, i1, s1, l1, lo1 = nd, ni, ns, nl, lo
-
-    dist = int(d1[-1])  # cell (n, m) is the last row of the final diagonal
-    ins, sub, dele = int(i1[-1]), int(s1[-1]), int(l1[-1])
-    return dist, EditCounts(ins, sub, dele, n - sub - dele)
-
-
 def _myers_distance(a: str, b: str) -> int:
     """Bit-parallel Levenshtein distance (Myers/Hyyro), O(n*m/wordsize).
 
@@ -223,45 +133,19 @@ def char_distance(x: Sequence[str], y: Sequence[str]) -> int:
     return _myers_distance(join_words(x), join_words(y))
 
 
-@lru_cache(maxsize=1 << 18)
-def levenshtein(a: str, b: str) -> int:
-    """Plain character-level Levenshtein distance (two-row DP, memoized).
-
-    A public convenience for single string pairs; no metric path calls it
-    (the assignment matrix batches its word pairs in `assign`).
-    """
-    if a == b:
-        return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i]
-        append = cur.append
-        for j, cb in enumerate(b, 1):
-            d = prev[j - 1] + (ca != cb)
-            u = prev[j] + 1
-            if u < d:
-                d = u
-            l = cur[j - 1] + 1
-            if l < d:
-                d = l
-            append(d)
-        prev = cur
-    return prev[-1]
-
-
 def char_edit_distance(
     x: Sequence[str], y: Sequence[str]
 ) -> tuple[int, EditCounts]:
     """Character-level edit distance between two word sequences.
 
     The sequences are joined with single spaces first, so the separator
-    spaces count as characters on both sides.
+    spaces count as characters on both sides.  The joined strings go through
+    `edit_distance` (a str is a sequence of characters), which keeps the full
+    table: O(n*m) time and memory in the two string lengths.  Metric paths
+    that need only the distance use `char_distance`.
     """
-    return _char_dp_counts(join_words(x), join_words(y))
+    dist, counts, _ = edit_distance(join_words(x), join_words(y))
+    return dist, counts
 
 
 def wer(x: Sequence[str], y: Sequence[str]) -> float:

@@ -43,10 +43,7 @@ def nsfd(alignment: Alignment, len_x: int, len_y: int) -> float:
     n = max(len_x, len_y)
     if n == 0:
         raise EvalError("NSFD is undefined when both texts are empty")
-    total = sum(
-        1 if (j is None or k is None) else abs(j - k) for j, k in alignment.pairs
-    )
-    return total / max(1, n * n // 2)
+    return footrule_total(alignment) / max(1, n * n // 2)
 
 
 def footrule_total(alignment: Alignment) -> int:

@@ -19,29 +19,58 @@ DEFAULT_GAMMA = 1.0
 
 
 @dataclass(frozen=True)
-class PageReport:
-    """All metric values plus raw accumulators for one page."""
+class _Accumulators:
+    """Accumulators shared by page and corpus reports: sizes and integer
+    error counts, plus the stored beta-WER and NSFD values.  Every rate is
+    derived from the counts, so it means the same on a page and a corpus."""
 
-    page_id: str
     n_words: int
     n_chars: int
-    n_hyp_words: int
-    wer: float
-    cer: float
-    bwer: float
-    beta_wer: float
-    hwer: float
-    hcer: float
-    nsfd: float
-    delta_wer: float
-    delta_wer_h: float
-    wer_counts: EditCounts
-    bwer_counts: EditCounts
     wer_errors: int
     cer_errors: int
     bwer_errors: int
     hwer_errors: int
     hcer_errors: int
+    beta_wer: float
+    nsfd: float
+    wer_counts: EditCounts
+    bwer_counts: EditCounts
+
+    @property
+    def wer(self) -> float:
+        return self.wer_errors / self.n_words
+
+    @property
+    def cer(self) -> float:
+        return self.cer_errors / self.n_chars
+
+    @property
+    def bwer(self) -> float:
+        return self.bwer_errors / self.n_words
+
+    @property
+    def hwer(self) -> float:
+        return self.hwer_errors / self.n_words
+
+    @property
+    def hcer(self) -> float:
+        return self.hcer_errors / self.n_chars
+
+    @property
+    def delta_wer(self) -> float:
+        return self.wer - self.bwer
+
+    @property
+    def delta_wer_h(self) -> float:
+        return self.wer - self.hwer
+
+
+@dataclass(frozen=True)
+class PageReport(_Accumulators):
+    """All metric values plus raw accumulators for one page."""
+
+    page_id: str
+    n_hyp_words: int
     dummy_pairs: int
     length_gap: int
     gamma: float
@@ -49,23 +78,10 @@ class PageReport:
 
 
 @dataclass(frozen=True)
-class CorpusReport:
+class CorpusReport(_Accumulators):
     """Micro-averaged corpus metrics over a set of page reports."""
 
     pages: tuple[PageReport, ...]
-    n_words: int
-    n_chars: int
-    wer: float
-    cer: float
-    bwer: float
-    beta_wer: float
-    hwer: float
-    hcer: float
-    nsfd: float
-    delta_wer: float
-    delta_wer_h: float
-    wer_counts: EditCounts
-    bwer_counts: EditCounts
 
 
 def evaluate_page(
@@ -86,12 +102,13 @@ def evaluate_page(
     if not x:
         raise EmptyReferenceError(f"page {page_id!r}: empty reference")
     n = len(x)
-    n_chars = ref.char_count
     timings: dict[str, float] = {}
 
     try:
         t0 = time.perf_counter()
-        wer_dist, wer_counts, _ = editdist.edit_distance(x, y)
+        # the trace is dropped at once: kept through the hWER stage, its
+        # tuples pin the freed word-table memory (~35 MB at 2,000 words)
+        wer_dist, wer_counts = editdist.edit_distance(x, y)[:2]
         timings["wer"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -99,12 +116,12 @@ def evaluate_page(
         timings["cer"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        bwer_rate, bwer_counts = bow.bwer(x, y)
+        _, bwer_counts = bow.bwer(x, y)
         beta = bow.beta_wer(x, y)
         timings["bwer"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        hwer_rate, alignment = assign.hwer(x, y, gamma)
+        _, alignment = assign.hwer(x, y, gamma)
         timings["hwer"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -118,30 +135,22 @@ def evaluate_page(
     except EvalError as exc:
         raise type(exc)(f"page {page_id!r}: {exc}") from exc
 
-    b = abs(n - len(y))
     return PageReport(
         page_id=page_id,
         n_words=n,
-        n_chars=n_chars,
+        n_chars=ref.char_count,
         n_hyp_words=len(y),
-        wer=wer_dist / n,
-        cer=cer_dist / n_chars,
-        bwer=bwer_rate,
-        beta_wer=beta,
-        hwer=hwer_rate,
-        hcer=hcer_dist / n_chars,
-        nsfd=rho,
-        delta_wer=wer_dist / n - bwer_rate,
-        delta_wer_h=wer_dist / n - hwer_rate,
-        wer_counts=wer_counts,
-        bwer_counts=bwer_counts,
         wer_errors=wer_dist,
         cer_errors=cer_dist,
         bwer_errors=bow.bwer_errors(x, y),
         hwer_errors=assign.hwer_errors(x, y, alignment),
         hcer_errors=hcer_dist,
+        beta_wer=beta,
+        nsfd=rho,
+        wer_counts=wer_counts,
+        bwer_counts=bwer_counts,
         dummy_pairs=alignment.dummy_count,
-        length_gap=b,
+        length_gap=abs(n - len(y)),
         gamma=gamma,
         timings=timings,
     )
@@ -157,30 +166,18 @@ def aggregate(reports: Sequence[PageReport]) -> CorpusReport:
     if not reports:
         raise EvalError("cannot aggregate an empty report list")
     n_words = sum(r.n_words for r in reports)
-    n_chars = sum(r.n_chars for r in reports)
-    wer_counts = EditCounts()
-    bwer_counts = EditCounts()
-    for r in reports:
-        wer_counts = wer_counts + r.wer_counts
-        bwer_counts = bwer_counts + r.bwer_counts
-    wer = sum(r.wer_errors for r in reports) / n_words
-    bwer = sum(r.bwer_errors for r in reports) / n_words
-    hwer = sum(r.hwer_errors for r in reports) / n_words
-    # bag distance recovered exactly from the integer bWER accumulators
-    beta = sum(2 * r.bwer_errors - r.length_gap for r in reports) / n_words
     return CorpusReport(
         pages=tuple(reports),
         n_words=n_words,
-        n_chars=n_chars,
-        wer=wer,
-        cer=sum(r.cer_errors for r in reports) / n_chars,
-        bwer=bwer,
-        beta_wer=beta,
-        hwer=hwer,
-        hcer=sum(r.hcer_errors for r in reports) / n_chars,
+        n_chars=sum(r.n_chars for r in reports),
+        wer_errors=sum(r.wer_errors for r in reports),
+        cer_errors=sum(r.cer_errors for r in reports),
+        bwer_errors=sum(r.bwer_errors for r in reports),
+        hwer_errors=sum(r.hwer_errors for r in reports),
+        hcer_errors=sum(r.hcer_errors for r in reports),
+        # bag distance recovered exactly from the integer bWER accumulators
+        beta_wer=sum(2 * r.bwer_errors - r.length_gap for r in reports) / n_words,
         nsfd=sum(r.nsfd * (r.n_words / n_words) for r in reports),
-        delta_wer=wer - bwer,
-        delta_wer_h=wer - hwer,
-        wer_counts=wer_counts,
-        bwer_counts=bwer_counts,
+        wer_counts=sum((r.wer_counts for r in reports), EditCounts()),
+        bwer_counts=sum((r.bwer_counts for r in reports), EditCounts()),
     )

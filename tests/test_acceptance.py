@@ -28,7 +28,7 @@ from pageval.assign import (
 )
 from pageval.bow import bag_distance, beta_wer, bwac, bwer, bwer_errors
 from pageval.core import PageTranscript
-from pageval.editdist import char_edit_distance, edit_distance, levenshtein
+from pageval.editdist import _myers_distance, char_edit_distance, edit_distance
 from pageval.reading_order import footrule_total, nsfd, renumber
 from pageval.report import aggregate, evaluate_page
 from pageval.simulate import (
@@ -264,7 +264,7 @@ def test_criterion_4_bruteforce_oracles():
         for _ in range(150):
             a = "".join(rng.choice("abc") for _ in range(rng.randint(2, 4)))
             b = "".join(rng.choice("abc") for _ in range(rng.randint(2, 4)))
-            assert levenshtein(a, b) == lev_bruteforce(a, b)
+            assert _myers_distance(a, b) == lev_bruteforce(a, b)
 
     with criterion("4b", "assignment cost equals exhaustive matching (<= 7 per side)"):
         rng = random.Random(402)

@@ -58,6 +58,20 @@ def test_eval_missing_hypothesis_scored_empty(tiny_corpus, tmp_path, capsys):
     assert rows["a.txt"]["metrics"]["WER"] == 0.0
 
 
+def test_eval_unpaired_hypothesis_page_is_reported(tiny_corpus, tmp_path, capsys):
+    ref, hyp = tiny_corpus
+    write_corpus(hyp, {"extra/c.txt": "no reference for this\n"})
+    out = tmp_path / "report.json"
+    code = main(["eval", "--ref", str(ref), "--hyp", str(hyp), "--out", str(out)])
+    assert code == 2
+    assert "eval: extra/c.txt: no reference page" in capsys.readouterr().err
+    payload = json.loads(out.read_text())
+    assert payload["page_errors"] == [
+        {"page_id": "extra/c.txt", "error": "no reference page"}
+    ]
+    assert payload["corpus"]["n_pages"] == 2
+
+
 def test_eval_reports_bad_pages(tmp_path, capsys):
     ref = write_corpus(tmp_path / "ref", {"ok.txt": "fine text\n", "empty.txt": "\n"})
     (tmp_path / "ref" / "bad.txt").write_bytes(b"abc\xff")

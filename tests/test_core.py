@@ -8,7 +8,6 @@ from pageval.core import (
     PageTranscript,
     StructureError,
     Trace,
-    flatten,
     join_words,
     tokenize_page,
 )
@@ -48,13 +47,13 @@ def test_tokenize_accepts_utf8_bytes():
 
 def test_flatten_concatenates_lines():
     page = PageTranscript((("a", "b"), ("c",)))
-    assert flatten(page) == ("a", "b", "c")
-    assert flatten(PageTranscript(())) == ()
+    assert page.words == ("a", "b", "c")
+    assert PageTranscript(()).words == ()
 
 
 def test_flatten_ex1_reference():
     page = tokenize_page("To be or not to be, that is the question")
-    words = flatten(page)
+    words = page.words
     assert len(words) == 10
     assert words[-1] == "question"
 
@@ -87,7 +86,7 @@ def test_tokenize_idempotent_under_reserialization(lines):
     page = tokenize_page(raw)
     again = tokenize_page("\n".join(" ".join(line) for line in page.lines))
     assert again.lines == page.lines
-    assert sum(len(line) for line in page.lines) == len(flatten(page))
+    assert sum(len(line) for line in page.lines) == len(page.words)
 
 
 def test_join_words_single_spaces():

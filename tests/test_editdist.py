@@ -12,9 +12,9 @@ from pageval.core import (
     tokenize_page,
 )
 from pageval.editdist import (
+    _myers_distance,
     char_edit_distance,
     edit_distance,
-    levenshtein,
     page_wer_by_lines,
     page_wer_concat,
     wer,
@@ -110,7 +110,22 @@ def test_levenshtein_matches_bruteforce_on_short_strings():
     for _ in range(200):
         a = "".join(rng.choice("abc") for _ in range(rng.randint(0, 4)))
         b = "".join(rng.choice("abc") for _ in range(rng.randint(0, 4)))
-        assert levenshtein(a, b) == lev_bruteforce(a, b)
+        assert _myers_distance(a, b) == lev_bruteforce(a, b)
+
+
+def test_myers_distance_matches_bruteforce_on_edge_strings():
+    # empty sides, non-ASCII and hypothesis-only characters, and lengths
+    # whose bit vectors span two or three 64-bit machine words
+    rng = random.Random(5)
+    alphabet = "abäΩж"
+    cases = [("", ""), ("", "aΩ"), ("жä", ""), ("Ωж", "ΩЯ"), ("é" * 70, "e" * 70)]
+    for _ in range(30):
+        a = "".join(rng.choice(alphabet) for _ in range(rng.randint(63, 130)))
+        b = "".join(rng.choice(alphabet + "qЯ") for _ in range(rng.randint(0, 130)))
+        cases.append((a, b))
+    for a, b in cases:
+        assert _myers_distance(a, b) == lev_bruteforce(a, b)
+        assert _myers_distance(b, a) == lev_bruteforce(a, b)
 
 
 def test_page_wer_by_lines_identity():

@@ -1,10 +1,12 @@
-"""Golden-file check: `pageval eval --per-page` on a seeded fixture corpus
-must reproduce the committed JSON report byte for byte.
+"""Golden-file checks: the CLI's reports on a seeded fixture corpus must
+reproduce the committed files byte for byte.  Pinned outputs: the
+`eval --per-page` JSON report, the `eval --per-page --format tsv` table, and
+the `sweep.tsv` tables of a line-swap and a word-level character-noise sweep.
 
-The corpus is built here from its own seeded generator, so the golden file
-depends only on the metric code.  It mixes ASCII, non-ASCII and
+The corpus is built here from its own seeded generator, so the golden files
+depend only on the metric code.  It mixes ASCII, non-ASCII and
 hypothesis-only characters, and words on both sides of 64 characters, so the
-pair-cost table's fast and fallback paths both feed the report.
+pair-cost table's fast and fallback paths both feed the reports.
 
 Regenerate (only when a metric is meant to change) with:
     PYTHONPATH=src python tests/test_golden.py --write
@@ -16,9 +18,11 @@ import random
 import sys
 from pathlib import Path
 
+import pytest
+
 from pageval.cli import main
 
-GOLDEN = Path(__file__).parent / "golden" / "eval_per_page.json"
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 _VOCAB_CHARS = "abcdefghijklmnoprstuvwyäöüßéΩж"
 _HYP_ONLY_CHARS = "qxz#ЯÆ"
@@ -79,21 +83,54 @@ def fixture_corpus(seed: int = 11) -> dict[str, tuple[str, str]]:
     return pages
 
 
-def _report(tmp: Path) -> bytes:
+def _write_fixture(tmp: Path) -> None:
     for name, (ref_text, hyp_text) in fixture_corpus().items():
         for side, text in (("ref", ref_text), ("hyp", hyp_text)):
             path = tmp / side / name
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text, encoding="utf-8")
-    out = tmp / "report.json"
+
+
+def _eval(tmp: Path, *extra: str) -> bytes:
+    out = tmp / "report"
     code = main(["eval", "--ref", str(tmp / "ref"), "--hyp", str(tmp / "hyp"),
-                 "--out", str(out), "--per-page"])
+                 "--out", str(out), "--per-page", *extra])
     assert code == 0
     return out.read_bytes()
 
 
+def _sweep(tmp: Path, *extra: str) -> bytes:
+    out_dir = tmp / "sweep"
+    code = main(["simulate", "--ref", str(tmp / "ref"), "--out-dir", str(out_dir),
+                 "--seed", "5", *extra])
+    assert code == 0
+    return (out_dir / "sweep.tsv").read_bytes()
+
+
+# golden file name -> report command on the fixture corpus
+CASES = {
+    "eval_per_page.json": lambda tmp: _eval(tmp),
+    "eval_per_page.tsv": lambda tmp: _eval(tmp, "--format", "tsv"),
+    "sweep_swap.tsv": lambda tmp: _sweep(
+        tmp, "--mode", "swap", "--swap-range", "1", "3", "--sweep", "3"
+    ),
+    "sweep_char_word.tsv": lambda tmp: _sweep(tmp, "--mode", "char-word", "--sweep", "2"),
+}
+
+
+def _report(name: str, tmp: Path) -> bytes:
+    _write_fixture(tmp)
+    return CASES[name](tmp)
+
+
 def test_eval_per_page_matches_golden(tmp_path):
-    assert _report(tmp_path) == GOLDEN.read_bytes()
+    name = "eval_per_page.json"
+    assert _report(name, tmp_path) == (GOLDEN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.endswith(".tsv")))
+def test_tsv_report_matches_golden(name, tmp_path):
+    assert _report(name, tmp_path) == (GOLDEN_DIR / name).read_bytes()
 
 
 if __name__ == "__main__":
@@ -101,7 +138,8 @@ if __name__ == "__main__":
 
     if "--write" not in sys.argv[1:]:
         sys.exit("usage: python tests/test_golden.py --write")
-    with tempfile.TemporaryDirectory() as tmp:
-        GOLDEN.parent.mkdir(exist_ok=True)
-        GOLDEN.write_bytes(_report(Path(tmp)))
-    print(f"wrote {GOLDEN}")
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            (GOLDEN_DIR / name).write_bytes(_report(name, Path(tmp)))
+        print(f"wrote {GOLDEN_DIR / name}")
