@@ -42,8 +42,6 @@ from .simulate import (
     predict_nsfd_splits,
     predict_nsfd_swaps,
     predict_twer,
-    split_lines,
-    swap_lines,
     tcer,
 )
 
@@ -87,8 +85,6 @@ __all__ = [
     "renumber",
     "reorder_hypothesis",
     "solve_assignment",
-    "split_lines",
-    "swap_lines",
     "tcer",
     "tokenize_page",
     "wer",

@@ -1,12 +1,13 @@
-"""Command-line interface: evaluate transcript corpora and run distortion
-simulations.
+"""Command-line interface: evaluate transcript corpora, and write distorted
+copies of them or the table of a distortion sweep.
 
 A corpus is a directory of UTF-8 plain-text files, one file per page, one
 physical line per text line, reading order given by file order.  Reference
 and hypothesis pages are paired by identical relative path.
 
 Exit codes: 0 success, 1 usage error, 2 data errors (missing hypothesis
-or reference pages, unreadable files, empty references).
+or reference pages, unreadable files, empty references, a dead worker
+process, pages a sweep predictor cannot take).
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ import argparse
 import concurrent.futures
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import simulate
 from .assign import check_gamma
@@ -58,11 +60,14 @@ def _gamma(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(lo: int) -> Callable[[str], int]:
+    def count(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    return count
 
 
 def _iter_pages(root: Path) -> list[Path]:
@@ -168,7 +173,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_evaluate_one, tasks))
+            futures = [pool.submit(_evaluate_one, task) for task in tasks]
+        results = []
+        for (rel, *_), future in zip(tasks, futures):
+            try:
+                results.append(future.result())
+            except BrokenProcessPool as exc:  # a worker died, say killed for memory
+                results.append((rel, None, f"worker process died: {exc}"))
     else:
         results = [_evaluate_one(t) for t in tasks]
     results.sort(key=lambda r: r[0])
@@ -246,53 +257,6 @@ def _sim_config(args: argparse.Namespace) -> simulate.DistortionConfig:
     )
 
 
-def _sweep_rows(
-    pages: list[PageTranscript], cfg: simulate.DistortionConfig, args: argparse.Namespace
-) -> list[dict]:
-    """Evaluate distorted-vs-reference across the sweep parameter."""
-    rows = []
-    line_counts = [p.line_count for p in pages]
-    word_counts = [p.word_count for p in pages]
-    total_words = sum(word_counts)
-    avg_wlen = sum(len(w) for p in pages for w in p.words) / total_words
-
-    if cfg.mode in (simulate.WORD_LEVEL, simulate.LINE_LEVEL):
-        steps = list(range(args.sweep + 1))
-        for n in steps:
-            step_cfg = simulate.DistortionConfig(
-                mode=cfg.mode, seed=cfg.seed, tcer_step=n,
-                op_mix=cfg.op_mix, whitespace_share=cfg.whitespace_share,
-            )
-            distorted, _ = simulate.distort_corpus(pages, step_cfg)
-            corpus = aggregate(
-                [evaluate_page(r, h, args.gamma) for r, h in zip(pages, distorted)]
-            )
-            rows.append(
-                {"parameter": n, **_metrics(corpus),
-                 "tCER": simulate.tcer(n), "tWER": simulate.predict_twer(n, avg_wlen)}
-            )
-        return rows
-
-    plans = simulate.sweep_plans(pages, cfg, args.sweep)
-    for count in range(args.sweep + 1):
-        distorted, manifest = simulate.apply_sweep_step(pages, cfg, plans, count)
-        corpus = aggregate(
-            [evaluate_page(r, h, args.gamma) for r, h in zip(pages, distorted)]
-        )
-        row = {"parameter": count, **_metrics(corpus)}
-        if cfg.mode == simulate.LINE_SWAP:
-            lo, hi = cfg.swap_range
-            row["tNSFD"] = simulate.predict_nsfd_swaps(count, lo, hi, line_counts)
-        else:
-            row["tNSFD"] = simulate.predict_nsfd_splits(count, line_counts, word_counts)
-            realized = sum(
-                1 for e in manifest["pages"] for s in e["splits"] if s["in_word"]
-            )
-            row["tbWER_increase"] = 2 * realized / total_words
-        rows.append(row)
-    return rows
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     ref_dir = Path(args.ref)
     if not ref_dir.is_dir():
@@ -319,16 +283,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.sweep is not None:
-        rows = _sweep_rows(pages, cfg, args)
-        cols = ["parameter", *TSV_COLUMNS]
-        extra = [k for k in rows[0] if k not in cols]
-        header = cols + extra
-        lines = ["\t".join(header)]
-        for row in rows:
-            cells = [str(row["parameter"])]
-            cells += _percent_row(row)
-            cells += [f"{100 * row[k]:.3f}" for k in extra]
-            lines.append("\t".join(cells))
+        lines = []
+        try:
+            for n, corpus, trend in simulate.sweep(pages, cfg, args.sweep, args.gamma):
+                if not lines:
+                    lines.append("\t".join(["parameter", *TSV_COLUMNS, *trend]))
+                cells = [str(n), *_percent_row(_metrics(corpus))]
+                cells += [f"{100 * v:.3f}" for v in trend.values()]
+                lines.append("\t".join(cells))
+        except EvalError as exc:
+            print(f"simulate: {exc}", file=sys.stderr)
+            return 2
         (out_dir / "sweep.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         return 0
 
@@ -354,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--per-page", action="store_true", help="include per-page rows")
     p_eval.add_argument("--timing", action="store_true",
                         help="include per-metric timings in JSON output")
-    p_eval.add_argument("--jobs", type=_positive_int, default=1,
+    p_eval.add_argument("--jobs", type=_int_at_least(1), default=1,
                         help="parallel page workers")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -376,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--swap-range", type=int, nargs=2, default=[1, 1],
                        metavar=("LO", "HI"), help="line-swap distance range")
     p_sim.add_argument("--splits", type=int, default=0, help="line splits per page")
-    p_sim.add_argument("--sweep", type=int, default=None, metavar="MAX",
+    p_sim.add_argument("--sweep", type=_int_at_least(0), default=None, metavar="MAX",
                        help="evaluate a parameter sweep up to MAX and write sweep.tsv")
     p_sim.add_argument("--gamma", type=_gamma, default=DEFAULT_GAMMA)
     p_sim.set_defaults(func=cmd_simulate)

@@ -7,17 +7,22 @@ can be processed independently and re-runs are bit-reproducible.  Every
 applied operation is recorded in a manifest so measurements can be
 re-checked against what actually happened.
 
-Sweeps over the swap/split count S use prefix plans: the plan for the
-largest S is drawn once per page and smaller S apply a prefix of it, which
-makes measured trends comparable point to point.
+`sweep` scores a corpus against its own distortion at each step of one
+parameter, next to the closed-form prediction.  Line-mode sweeps use prefix
+plans: the plan for the largest count is drawn once per page and smaller
+counts apply a prefix of it, which makes measured trends comparable point
+to point.  `distort_corpus` draws the same plan, so its pages are the last
+step of a sweep up to its count.  A split plan for a smaller count is not a
+prefix of a longer one: `plan_splits` samples all its lines first.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import Iterable, Iterator, Sequence
 
+from . import report
 from .core import PageTranscript, StructureError
 
 RNG_ALGORITHM = "mersenne-twister"
@@ -175,13 +180,14 @@ def distort_chars(
     alphabet = alphabet or corpus_alphabet([page])
     target = TCER_STEP * cfg.tcer_step
     realized = {"sub": 0, "ins": 0, "del": 0}
+    entry = {"page_id": page.page_id, "mode": cfg.mode, "realized": realized}
     if target == 0:
-        return page, {"page_id": page.page_id, "mode": cfg.mode, "realized": realized}
+        return page, entry
 
     if cfg.mode == WORD_LEVEL:
         word_chars = sum(len(w) for line in page.lines for w in line)
         if word_chars == 0:
-            return page, {"page_id": page.page_id, "mode": cfg.mode, "realized": realized}
+            return page, entry
         prob = min(1.0, target * page.char_count / word_chars)
         lines = tuple(
             tuple(
@@ -196,8 +202,7 @@ def distort_chars(
             else ()
             for line in page.lines
         )
-    out = PageTranscript(lines=lines, page_id=page.page_id)
-    return out, {"page_id": page.page_id, "mode": cfg.mode, "realized": realized}
+    return PageTranscript(lines=lines, page_id=page.page_id), entry
 
 
 # ---------------------------------------------------------------------------
@@ -243,18 +248,6 @@ def apply_swaps(page: PageTranscript, plan: Sequence[dict]) -> PageTranscript:
         a, b = entry["line_a"], entry["line_b"]
         lines[a], lines[b] = lines[b], lines[a]
     return PageTranscript(lines=tuple(lines), page_id=page.page_id)
-
-
-def swap_lines(
-    page: PageTranscript,
-    swaps: int,
-    r_lo: int,
-    r_hi: int,
-    rng: random.Random,
-) -> tuple[PageTranscript, list[dict]]:
-    """Swap up to `swaps` disjoint line pairs at distances in [r_lo, r_hi]."""
-    plan = plan_swaps(page, swaps, r_lo, r_hi, rng)
-    return apply_swaps(page, plan), plan
 
 
 # ---------------------------------------------------------------------------
@@ -333,63 +326,58 @@ def apply_splits(page: PageTranscript, plan: Sequence[dict]) -> PageTranscript:
     )
 
 
-def split_lines(
-    page: PageTranscript, splits: int, rng: random.Random
-) -> tuple[PageTranscript, list[dict]]:
-    """Split `splits` random lines and relocate the fragments."""
-    if splits > page.line_count:
-        raise StructureError("cannot split more lines than the page has")
-    plan = plan_splits(page, splits, rng)
-    return apply_splits(page, plan), plan
-
-
 # ---------------------------------------------------------------------------
 # corpus orchestration
+
+
+def _plan(page: PageTranscript, cfg: DistortionConfig, count: int) -> list[dict]:
+    """The page's plan of up to `count` line operations, from its own stream."""
+    rng = page_rng(cfg.seed, page.page_id)
+    if cfg.mode == LINE_SWAP:
+        lo, hi = cfg.swap_range
+        return plan_swaps(page, count, lo, hi, rng)
+    if cfg.mode == LINE_SPLIT:
+        return plan_splits(page, count, rng)
+    raise StructureError("plans exist only for swap/split modes")
+
+
+def _apply(
+    page: PageTranscript, cfg: DistortionConfig, plan: list[dict]
+) -> tuple[PageTranscript, dict]:
+    """Apply a line-mode plan; returns the page and its manifest entry."""
+    if cfg.mode == LINE_SWAP:
+        out, key = apply_swaps(page, plan), "swaps"
+    else:
+        out, key = apply_splits(page, plan), "splits"
+    return out, {"page_id": page.page_id, "mode": cfg.mode, key: plan}
+
+
+def _manifest(cfg: DistortionConfig, done: list[tuple], **extra: int) -> dict:
+    entries = [entry for _, entry in done]
+    return {"algorithm": RNG_ALGORITHM, "config": asdict(cfg), **extra, "pages": entries}
 
 
 def distort_corpus(
     pages: Sequence[PageTranscript], cfg: DistortionConfig
 ) -> tuple[list[PageTranscript], dict]:
     """Distort every page per the config; returns pages plus a manifest."""
-    alphabet = corpus_alphabet(pages)
-    out: list[PageTranscript] = []
-    entries: list[dict] = []
-    for page in pages:
-        rng = page_rng(cfg.seed, page.page_id)
-        if cfg.mode in (WORD_LEVEL, LINE_LEVEL):
-            distorted, entry = distort_chars(page, cfg, rng, alphabet)
-        elif cfg.mode == LINE_SWAP:
-            lo, hi = cfg.swap_range
-            distorted, ops = swap_lines(page, cfg.swaps, lo, hi, rng)
-            entry = {"page_id": page.page_id, "mode": cfg.mode, "swaps": ops}
-        else:
-            distorted, ops = split_lines(page, min(cfg.splits, page.line_count), rng)
-            entry = {"page_id": page.page_id, "mode": cfg.mode, "splits": ops}
-        out.append(distorted)
-        entries.append(entry)
-    manifest = {
-        "algorithm": RNG_ALGORITHM,
-        "config": asdict(cfg),
-        "pages": entries,
-    }
-    return out, manifest
+    if cfg.mode in (WORD_LEVEL, LINE_LEVEL):
+        alphabet = corpus_alphabet(pages)
+        done = [
+            distort_chars(page, cfg, page_rng(cfg.seed, page.page_id), alphabet)
+            for page in pages
+        ]
+    else:
+        count = cfg.swaps if cfg.mode == LINE_SWAP else cfg.splits
+        done = [_apply(page, cfg, _plan(page, cfg, count)) for page in pages]
+    return [out for out, _ in done], _manifest(cfg, done)
 
 
 def sweep_plans(
     pages: Sequence[PageTranscript], cfg: DistortionConfig, max_count: int
 ) -> dict[str, list[dict]]:
     """Per-page prefix plans for a swap or split sweep up to max_count."""
-    plans: dict[str, list[dict]] = {}
-    for page in pages:
-        rng = page_rng(cfg.seed, page.page_id)
-        if cfg.mode == LINE_SWAP:
-            lo, hi = cfg.swap_range
-            plans[page.page_id] = plan_swaps(page, max_count, lo, hi, rng)
-        elif cfg.mode == LINE_SPLIT:
-            plans[page.page_id] = plan_splits(page, min(max_count, page.line_count), rng)
-        else:
-            raise StructureError("sweep plans exist only for swap/split modes")
-    return plans
+    return {page.page_id: _plan(page, cfg, max_count) for page in pages}
 
 
 def apply_sweep_step(
@@ -399,23 +387,52 @@ def apply_sweep_step(
     count: int,
 ) -> tuple[list[PageTranscript], dict]:
     """Apply the first `count` planned operations of each page."""
-    out = []
-    entries = []
-    for page in pages:
-        plan = plans[page.page_id][:count]
-        if cfg.mode == LINE_SWAP:
-            out.append(apply_swaps(page, plan))
-            entries.append({"page_id": page.page_id, "mode": cfg.mode, "swaps": plan})
+    done = [_apply(page, cfg, plans[page.page_id][:count]) for page in pages]
+    return [out for out, _ in done], _manifest(cfg, done, count=count)
+
+
+def sweep(
+    pages: Sequence[PageTranscript],
+    cfg: DistortionConfig,
+    max_count: int,
+    gamma: float,
+) -> Iterator[tuple[int, report.CorpusReport, dict[str, float]]]:
+    """Score the pages against their own distortion at sweep steps
+    0..max_count; yields (parameter, corpus report, trend columns).
+
+    Character modes sweep the schedule step (not cfg.tcer_step) against
+    tCER/tWER; line modes sweep the swap/split count against tNSFD, and
+    splits add the bWER increase of the in-word splits they realize.
+    """
+    if max_count < 0:
+        raise StructureError("the sweep maximum must be >= 0")
+    line_counts = [p.line_count for p in pages]
+    word_counts = [p.word_count for p in pages]
+    word_chars = sum(len(w) for p in pages for w in p.words)
+    char_mode = cfg.mode in (WORD_LEVEL, LINE_LEVEL)
+    plans = None if char_mode else sweep_plans(pages, cfg, max_count)
+    for n in range(max_count + 1):
+        if char_mode:
+            distorted, manifest = distort_corpus(pages, replace(cfg, tcer_step=n))
         else:
-            out.append(apply_splits(page, plan))
-            entries.append({"page_id": page.page_id, "mode": cfg.mode, "splits": plan})
-    manifest = {
-        "algorithm": RNG_ALGORITHM,
-        "config": asdict(cfg),
-        "count": count,
-        "pages": entries,
-    }
-    return out, manifest
+            distorted, manifest = apply_sweep_step(pages, cfg, plans, n)
+        # evaluate_page rejects a page without words, so n_words > 0 below
+        corpus = report.aggregate(
+            [report.evaluate_page(r, h, gamma) for r, h in zip(pages, distorted)]
+        )
+        if char_mode:
+            avg_wlen = word_chars / corpus.n_words
+            trend = {"tCER": tcer(n), "tWER": predict_twer(n, avg_wlen)}
+        elif cfg.mode == LINE_SWAP:
+            lo, hi = cfg.swap_range
+            trend = {"tNSFD": predict_nsfd_swaps(n, lo, hi, line_counts)}
+        else:
+            in_word = sum(s["in_word"] for e in manifest["pages"] for s in e["splits"])
+            trend = {
+                "tNSFD": predict_nsfd_splits(n, line_counts, word_counts),
+                "tbWER_increase": 2 * in_word / corpus.n_words,
+            }
+        yield n, corpus, trend
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+from pageval import cli
 from pageval.cli import main
 
 from conftest import FIG_HYP_LINES, FIG_LEFT, FIG_RIGHT, synthetic_corpus
@@ -237,3 +239,63 @@ def test_eval_skips_dotfiles(tiny_corpus, tmp_path):
     assert main(["eval", "--ref", str(ref), "--hyp", str(hyp), "--out", str(stray),
                  "--per-page"]) == 0
     assert stray.read_bytes() == clean.read_bytes()
+
+
+def test_simulate_negative_sweep_is_usage_error(tiny_corpus, tmp_path, capsys):
+    ref, _ = tiny_corpus
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--ref", str(ref), "--out-dir", str(tmp_path / "out"),
+              "--mode", "char-word", "--sweep", "-1"])
+    assert exc.value.code == 1
+    assert "--sweep: must be at least 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mode, pages, message",
+    [
+        ("char-word", {"a.txt": "some words\n", "empty.txt": "\n"},
+         "simulate: page 'empty.txt': empty reference"),
+        ("char-word", {"a.txt": "\n\n", "b.txt": "\n"}, "empty reference"),
+        ("swap", {"a.txt": "two lines\nof text\n", "b.txt": "one line\n"},
+         "simulate: swap predictor needs at least 2 lines per page"),
+        ("split", {"a.txt": "two lines\nof text\n", "b.txt": "one line\n"},
+         "simulate: split predictor needs at least 2 lines per page"),
+    ],
+    ids=["empty-page", "all-blank-pages", "one-line-swap", "one-line-split"],
+)
+def test_simulate_sweep_data_error_exit_two(tmp_path, capsys, mode, pages, message):
+    ref = write_corpus(tmp_path / "ref", pages)
+    out_dir = tmp_path / "out"
+    code = main(["simulate", "--ref", str(ref), "--out-dir", str(out_dir),
+                 "--mode", mode, "--sweep", "2"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (out_dir / "sweep.tsv").exists()
+
+
+_real_evaluate_one = cli._evaluate_one
+
+
+def _crash_on_last_page(task):
+    if task[0] == "f.txt":
+        os._exit(1)  # as a worker killed for memory would
+    return _real_evaluate_one(task)
+
+
+def test_eval_worker_crash_reported_per_page(tmp_path, monkeypatch, capsys):
+    pages = {f"{name}.txt": "a few words\nto score\n" for name in "abcdef"}
+    ref = write_corpus(tmp_path / "ref", pages)
+    hyp = write_corpus(tmp_path / "hyp", pages)
+    monkeypatch.setattr(cli, "_evaluate_one", _crash_on_last_page)
+    out = tmp_path / "report.json"
+    code = main(["eval", "--ref", str(ref), "--hyp", str(hyp), "--out", str(out),
+                 "--jobs", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    payload = json.loads(out.read_text())
+    lost = {e["page_id"] for e in payload["page_errors"]}
+    assert "f.txt" in lost
+    assert payload["corpus"]["n_pages"] + len(lost) == len(pages)
+    for entry in payload["page_errors"]:
+        assert entry["error"].startswith("worker process died")
+        assert f"eval: {entry['page_id']}: worker process died" in err

@@ -1,7 +1,9 @@
 """Golden-file checks: the CLI's reports on a seeded fixture corpus must
 reproduce the committed files byte for byte.  Pinned outputs: the
-`eval --per-page` JSON report, the `eval --per-page --format tsv` table, and
-the `sweep.tsv` tables of a line-swap and a word-level character-noise sweep.
+`eval --per-page` JSON report, the `eval --per-page --format tsv` table, the
+`sweep.tsv` tables of line-swap, line-split, word-level and line-level
+character-noise sweeps, and every file (pages and manifest.json) that a
+line-swap and a line-split `simulate` run writes.
 
 The corpus is built here from its own seeded generator, so the golden files
 depend only on the metric code.  It mixes ASCII, non-ASCII and
@@ -99,12 +101,26 @@ def _eval(tmp: Path, *extra: str) -> bytes:
     return out.read_bytes()
 
 
-def _sweep(tmp: Path, *extra: str) -> bytes:
-    out_dir = tmp / "sweep"
+def _simulate(tmp: Path, *extra: str) -> Path:
+    out_dir = tmp / "sim"
     code = main(["simulate", "--ref", str(tmp / "ref"), "--out-dir", str(out_dir),
                  "--seed", "5", *extra])
     assert code == 0
-    return (out_dir / "sweep.tsv").read_bytes()
+    return out_dir
+
+
+def _sweep(tmp: Path, *extra: str) -> bytes:
+    return (_simulate(tmp, *extra) / "sweep.tsv").read_bytes()
+
+
+def _distort(tmp: Path, *extra: str) -> bytes:
+    """Every file the run writes, in path order, each after a header line."""
+    out_dir = _simulate(tmp, *extra)
+    return b"".join(
+        f"==> {path.relative_to(out_dir).as_posix()} <==\n".encode() + path.read_bytes()
+        for path in sorted(out_dir.rglob("*"))
+        if path.is_file()
+    )
 
 
 # golden file name -> report command on the fixture corpus
@@ -115,6 +131,12 @@ CASES = {
         tmp, "--mode", "swap", "--swap-range", "1", "3", "--sweep", "3"
     ),
     "sweep_char_word.tsv": lambda tmp: _sweep(tmp, "--mode", "char-word", "--sweep", "2"),
+    "sweep_split.tsv": lambda tmp: _sweep(tmp, "--mode", "split", "--sweep", "4"),
+    "sweep_char_line.tsv": lambda tmp: _sweep(tmp, "--mode", "char-line", "--sweep", "3"),
+    "simulate_swap.txt": lambda tmp: _distort(
+        tmp, "--mode", "swap", "--swaps", "2", "--swap-range", "1", "3"
+    ),
+    "simulate_split.txt": lambda tmp: _distort(tmp, "--mode", "split", "--splits", "3"),
 }
 
 
@@ -130,6 +152,11 @@ def test_eval_per_page_matches_golden(tmp_path):
 
 @pytest.mark.parametrize("name", sorted(n for n in CASES if n.endswith(".tsv")))
 def test_tsv_report_matches_golden(name, tmp_path):
+    assert _report(name, tmp_path) == (GOLDEN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("simulate_")))
+def test_simulate_output_matches_golden(name, tmp_path):
     assert _report(name, tmp_path) == (GOLDEN_DIR / name).read_bytes()
 
 

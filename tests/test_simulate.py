@@ -12,18 +12,18 @@ from pageval.simulate import (
     WORD_LEVEL,
     DistortionConfig,
     apply_splits,
+    apply_swaps,
     apply_sweep_step,
     corpus_alphabet,
     distort_chars,
     distort_corpus,
     page_rng,
+    plan_splits,
     plan_swaps,
     predict_bwer_split_increase,
     predict_nsfd_splits,
     predict_nsfd_swaps,
     predict_twer,
-    split_lines,
-    swap_lines,
     sweep_plans,
     tcer,
 )
@@ -78,14 +78,14 @@ def test_line_level_can_change_word_count():
 
 def test_swap_zero_is_identity():
     page = synthetic_corpus(1)[0]
-    out, plan = swap_lines(page, 0, 1, 3, page_rng(0, page.page_id))
-    assert out.lines == page.lines and plan == []
+    plan = plan_swaps(page, 0, 1, 3, page_rng(0, page.page_id))
+    assert plan == [] and apply_swaps(page, plan).lines == page.lines
 
 
 def test_swap_distance_seven_on_eight_lines():
     page = synthetic_corpus(1, lines=8, seed=9)[0]
-    rng = page_rng(4, page.page_id)
-    out, plan = swap_lines(page, 5, 7, 7, rng)
+    plan = plan_swaps(page, 5, 7, 7, page_rng(4, page.page_id))
+    out = apply_swaps(page, plan)
     # only one swap is possible: the first line with the last one
     assert len(plan) == 1
     assert (plan[0]["line_a"], plan[0]["line_b"]) == (0, 7)
@@ -112,14 +112,16 @@ def test_swapped_lines_not_reused():
 
 def test_split_zero_is_identity():
     page = synthetic_corpus(1)[0]
-    out, plan = split_lines(page, 0, page_rng(0, page.page_id))
-    assert out.lines == page.lines and plan == []
+    plan = plan_splits(page, 0, page_rng(0, page.page_id))
+    assert plan == [] and apply_splits(page, plan).lines == page.lines
 
 
 def test_split_count_limit():
-    page = synthetic_corpus(1, lines=4)[0]
-    with pytest.raises(StructureError):
-        split_lines(page, 5, page_rng(0, page.page_id))
+    # more splits than lines: each splittable line is split once
+    page = PageTranscript((("a", "b"), ("c",), ("de",), ("f", "g", "h")), "p")
+    plan = plan_splits(page, 5, page_rng(0, page.page_id))
+    assert sorted(entry["line"] for entry in plan) == [0, 2, 3]
+    assert apply_splits(page, plan).line_count == page.line_count + 3
 
 
 def test_split_option_semantics_word_level():
@@ -150,8 +152,6 @@ def test_split_char_level_in_word_flag():
     rng = random.Random(0)
     seen_in_word = False
     for seed in range(40):
-        from pageval.simulate import plan_splits
-
         plan = plan_splits(page, 1, random.Random(seed))
         entry = plan[0]
         if entry["level"] == "char":
@@ -186,6 +186,25 @@ def test_sweep_prefix_property():
         undo = apply_sweep_step([page], cfg, {page.page_id: plan}, min(3, len(plan)))[0][0]
         assert p3.lines == undo.lines
         assert p3.words != p4.words or len(plan) <= 3
+
+
+@pytest.mark.parametrize("mode", [LINE_SWAP, LINE_SPLIT])
+@pytest.mark.parametrize("seed", [0, 5, 23])
+def test_distort_corpus_is_the_last_sweep_step(mode, seed):
+    short = PageTranscript((("a", "bc"), ("d",)), "short.txt")
+    pages = synthetic_corpus(4, 7, 3, seed=60 + seed) + [short]
+    for count in (0, 1, 3, 8):
+        cfg = DistortionConfig(
+            mode=mode, seed=seed, swaps=count, splits=count, swap_range=(1, 3)
+        )
+        out, manifest = distort_corpus(pages, cfg)
+        # a shorter swap plan is a prefix of a longer one; a split plan is not
+        for max_count in (count, count + 4) if mode == LINE_SWAP else (count,):
+            plans = sweep_plans(pages, cfg, max_count)
+            step, step_manifest = apply_sweep_step(pages, cfg, plans, count)
+            assert [p.lines for p in step] == [p.lines for p in out]
+            assert step_manifest["pages"] == manifest["pages"]
+            assert step_manifest["count"] == count and "count" not in manifest
 
 
 def test_determinism_same_seed_same_output():
