@@ -9,8 +9,13 @@ length plus gamma/N, and dummy-dummy cells are free, so the matrix is square
 of side |x|+|y| and a perfect matching always exists.
 
 The solver is scipy's linear_sum_assignment (Jonker-Volgenant family,
-O(n^3)); optimality is the contract and is cross-checked against exhaustive
-enumeration in the tests.  Among equal-cost matchings the reported metrics
+O(n^3); Crouse, IEEE TAES 2016); optimality is the contract and is
+cross-checked against exhaustive enumeration in the tests.  It is loaded
+straight from its compiled extension, scipy/optimize/_lsap, because
+importing scipy.optimize would pull in all of scipy's optimizers and more
+than double the start-up time and memory of every `pageval` process; an
+installation without that file falls back to `from scipy.optimize import
+linear_sum_assignment`.  Among equal-cost matchings the reported metrics
 are canonicalized by an epsilon-scaled mismatch penalty, far below the cost
 granularity, which deterministically selects a member with the smallest
 mismatch count (hence the smallest hWER) of the optimal family.
@@ -18,15 +23,42 @@ mismatch count (hence the smallest hWER) of the optimal family.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import Alignment, EmptyReferenceError, StructureError
 from .editdist import _myers_distance, char_distance
+
+
+def _load_lsap():
+    """scipy's compiled `linear_sum_assignment`, loaded without importing
+    scipy.optimize (see the module docstring).  `_lsap` uses single-phase
+    init, so a later `import scipy.optimize` hands back this same object."""
+    # find_spec of a top-level name imports nothing; a dotted name would
+    # import its parent package
+    spec = importlib.util.find_spec("scipy")
+    for base in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(base, "optimize", "_lsap" + suffix)
+            if os.path.isfile(path):
+                ext = importlib.util.spec_from_file_location(
+                    "scipy.optimize._lsap", path
+                )
+                module = importlib.util.module_from_spec(ext)
+                ext.loader.exec_module(module)
+                return module.linear_sum_assignment
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment
+
+
+linear_sum_assignment = _load_lsap()
 
 
 @dataclass(frozen=True)
@@ -47,6 +79,9 @@ class CostMatrix:
 # most 16 MB, and the kernel keeps about eight of them alive.
 _PAIR_BLOCK_CELLS = 1 << 21
 _LANE_BITS = 64
+# Cells per row block of the real-pair block in `_assemble`: its gather and
+# regularizer temporaries are then 2 MB each, not n*m.
+_ASSEMBLE_BLOCK_CELLS = 1 << 18
 
 
 def _codepoints(words: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -145,10 +180,11 @@ def _unique_pair_table(ux: list[str], uy: list[str]) -> np.ndarray:
     return table
 
 
-def _pair_costs(
-    x: Sequence[str], y: Sequence[str], mismatch_bonus: float = 0.0
-) -> np.ndarray:
-    """Character edit distance for every (reference, hypothesis) word pair.
+def _pair_table(
+    x: Sequence[str], y: Sequence[str], mismatch_bonus: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Character edit distance for every unique (reference, hypothesis) word
+    pair, plus each word's row or column in that table.
 
     Deduplicated through the vocabulary: corpora repeat words heavily, so
     unique pairs are far fewer than |x|*|y|.  `mismatch_bonus` is added to
@@ -160,12 +196,12 @@ def _pair_costs(
     idx_y = {w: i for i, w in enumerate(uy)}
     table = _unique_pair_table(ux, uy)
     if mismatch_bonus:
-        table = table + mismatch_bonus
+        table += mismatch_bonus
         for w in idx_x.keys() & idx_y.keys():
             table[idx_x[w], idx_y[w]] -= mismatch_bonus
     rows = np.fromiter((idx_x[w] for w in x), dtype=np.intp, count=len(x))
     cols = np.fromiter((idx_y[w] for w in y), dtype=np.intp, count=len(y))
-    return table[rows[:, None], cols[None, :]]
+    return table, rows, cols
 
 
 def _assemble(
@@ -175,15 +211,29 @@ def _assemble(
     mismatch_bonus: float = 0.0,
     dummy_bonus: float = 0.0,
 ) -> np.ndarray:
+    """The square cost matrix, written into one allocation.
+
+    The real-pair block is filled a row block at a time, so its only
+    temporaries are block-sized.  Each cell is (pair + bonus) + gamma*|j-k|/n
+    in exactly that operation order: the solver's choice among tied optima
+    depends on the last bit of every cell.
+    """
     n, m = len(x), len(y)
     side = n + m
     values = np.zeros((side, side), dtype=np.float64)
     if m:
-        reg = gamma * np.abs(
-            np.arange(n, dtype=np.float64)[:, None]
-            - np.arange(m, dtype=np.float64)[None, :]
-        ) / n
-        values[:n, :m] = _pair_costs(x, y, mismatch_bonus) + reg
+        table, rows, cols = _pair_table(x, y, mismatch_bonus)
+        k = np.arange(m, dtype=np.float64)
+        step = max(1, _ASSEMBLE_BLOCK_CELLS // m)
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            block = values[start:stop, :m]
+            np.take(table[rows[start:stop]], cols, axis=1, out=block)
+            reg = np.subtract.outer(np.arange(start, stop, dtype=np.float64), k)
+            np.abs(reg, out=reg)
+            reg *= gamma
+            reg /= n
+            block += reg
     # dummy partners: half the word length, displacement term fixed at 1
     x_len = np.fromiter((len(w) for w in x), dtype=np.float64, count=n)
     values[:n, m:] = (x_len / 2 + gamma / n + dummy_bonus)[:, None]

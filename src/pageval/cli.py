@@ -8,15 +8,18 @@ and hypothesis pages are paired by identical relative path.
 Exit codes: 0 success, 1 usage error, 2 data errors (missing hypothesis
 or reference pages, unreadable files, empty references, a dead worker
 process, pages a sweep predictor cannot take).
+
+An `eval` report is written even when no page scores (every reference is
+blank, say, or a dead worker took every page): the JSON report then has
+`schema`, `gamma` and `page_errors` but no `corpus`, and the TSV report is
+its header line alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Sequence
@@ -172,6 +175,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         tasks.append((rel, ref_path, hyp_path, args.gamma))
 
     if args.jobs > 1:
+        # imported here: multiprocessing costs every --jobs 1 call start-up time
+        import concurrent.futures
+        from concurrent.futures.process import BrokenProcessPool
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futures = [pool.submit(_evaluate_one, task) for task in tasks]
         results = []
@@ -197,29 +204,26 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for rel in missing:
         print(f"eval: {rel}: hypothesis page missing, scored as empty", file=sys.stderr)
 
-    out_text = ""
-    if reports:
-        corpus = aggregate(reports)
-        if args.format == "json":
-            payload = {
-                "schema": SCHEMA_VERSION,
-                "gamma": args.gamma,
-                "corpus": _corpus_json(corpus),
-            }
+    corpus = aggregate(reports) if reports else None
+    if args.format == "json":
+        payload = {"schema": SCHEMA_VERSION, "gamma": args.gamma}
+        if corpus is not None:
+            payload["corpus"] = _corpus_json(corpus)
             if args.per_page:
                 payload["pages"] = [_page_json(r, args.timing) for r in reports]
-            if errors:
-                payload["page_errors"] = [
-                    {"page_id": rel, "error": err} for rel, err in errors
-                ]
-            out_text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        else:
-            lines = ["\t".join(("page_id",) + TSV_COLUMNS)]
-            if args.per_page:
-                for r in reports:
-                    lines.append("\t".join([r.page_id] + _percent_row(_metrics(r))))
+        if errors:
+            payload["page_errors"] = [
+                {"page_id": rel, "error": err} for rel, err in errors
+            ]
+        out_text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    else:
+        lines = ["\t".join(("page_id",) + TSV_COLUMNS)]
+        if args.per_page:
+            for r in reports:
+                lines.append("\t".join([r.page_id] + _percent_row(_metrics(r))))
+        if corpus is not None:
             lines.append("\t".join(["#corpus"] + _percent_row(_metrics(corpus))))
-            out_text = "\n".join(lines) + "\n"
+        out_text = "\n".join(lines) + "\n"
 
     if args.out:
         Path(args.out).write_text(out_text, encoding="utf-8")

@@ -375,19 +375,23 @@ def distort_corpus(
 
 def sweep_plans(
     pages: Sequence[PageTranscript], cfg: DistortionConfig, max_count: int
-) -> dict[str, list[dict]]:
-    """Per-page prefix plans for a swap or split sweep up to max_count."""
-    return {page.page_id: _plan(page, cfg, max_count) for page in pages}
+) -> list[list[dict]]:
+    """Per-page prefix plans for a swap or split sweep up to max_count, in
+    page order (pages may share a page_id)."""
+    return [_plan(page, cfg, max_count) for page in pages]
 
 
 def apply_sweep_step(
     pages: Sequence[PageTranscript],
     cfg: DistortionConfig,
-    plans: dict[str, list[dict]],
+    plans: Sequence[list[dict]],
     count: int,
 ) -> tuple[list[PageTranscript], dict]:
-    """Apply the first `count` planned operations of each page."""
-    done = [_apply(page, cfg, plans[page.page_id][:count]) for page in pages]
+    """Apply the first `count` planned operations of each page; `plans` is
+    `sweep_plans` of the same pages."""
+    if len(plans) != len(pages):
+        raise StructureError(f"{len(plans)} plans for {len(pages)} pages")
+    done = [_apply(page, cfg, plan[:count]) for page, plan in zip(pages, plans)]
     return [out for out, _ in done], _manifest(cfg, done, count=count)
 
 

@@ -98,6 +98,52 @@ def test_unique_pair_table_row_blocks(monkeypatch):
     assert got.tolist() == [[lev_bruteforce(a, b) for b in uy] for a in ux]
 
 
+def test_solver_is_scipys_linear_sum_assignment():
+    import scipy.optimize
+
+    assert assign.linear_sum_assignment is scipy.optimize.linear_sum_assignment
+
+
+def test_solver_falls_back_to_public_import(monkeypatch):
+    import importlib.machinery
+
+    import scipy.optimize
+
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+    assert assign._load_lsap() is scipy.optimize.linear_sum_assignment
+
+
+def _assemble_elementwise(x, y, gamma, mismatch_bonus, dummy_bonus):
+    n, m = len(x), len(y)
+    rows = [
+        [
+            (lev_bruteforce(a, b) + (mismatch_bonus if a != b else 0.0))
+            + (gamma * abs(j - k)) / n
+            for k, b in enumerate(y)
+        ]
+        + [len(a) / 2 + gamma / n + dummy_bonus] * n
+        for j, a in enumerate(x)
+    ]
+    rows += [[len(b) / 2 + gamma / n + dummy_bonus for b in y] + [0.0] * n] * m
+    return np.array(rows, dtype=np.float64)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-4, 0.3, 1.0, 5.0])
+def test_assemble_bitwise_equals_elementwise(monkeypatch, gamma):
+    # row blocks of 7 cells: every page below spans several blocks, and a
+    # block may be a single row
+    monkeypatch.setattr(assign, "_ASSEMBLE_BLOCK_CELLS", 7)
+    rng = random.Random(int(gamma * 1e4) + 3)
+    vocab = _vocab(rng, "abé", [0, 1, 2, 3, 5, 8, 66])
+    for n, m in ((13, 5), (6, 11), (9, 9), (4, 0), (1, 3)):
+        x = [rng.choice(vocab) for _ in range(n)]
+        y = [rng.choice(vocab) for _ in range(m)]
+        eps = 1e-8 / (n + m)
+        got = assign._assemble(x, y, gamma, eps, eps / 2)
+        want = _assemble_elementwise(x, y, gamma, eps, eps / 2)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_solve_single_real_pair():
     alignment, cost = solve_assignment(build_cost_matrix(["x"], ["x"], 0.0))
     assert alignment.pairs == frozenset({(0, 0)})

@@ -93,6 +93,23 @@ def test_eval_reports_bad_pages(tmp_path, capsys):
     assert payload["corpus"]["n_pages"] == 1
 
 
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_eval_report_written_when_no_page_scores(tmp_path, capsys, fmt):
+    ref = write_corpus(tmp_path / "ref", {"blank.txt": "\n"})
+    hyp = write_corpus(tmp_path / "hyp", {"blank.txt": "some words\n"})
+    out = tmp_path / f"report.{fmt}"
+    code = main(["eval", "--ref", str(ref), "--hyp", str(hyp), "--out", str(out),
+                 "--format", fmt, "--per-page"])
+    assert code == 2
+    assert "blank.txt" in capsys.readouterr().err
+    if fmt == "json":
+        payload = json.loads(out.read_text())
+        assert sorted(payload) == ["gamma", "page_errors", "schema"]
+        assert [e["page_id"] for e in payload["page_errors"]] == ["blank.txt"]
+    else:
+        assert out.read_text() == "\t".join(("page_id",) + cli.TSV_COLUMNS) + "\n"
+
+
 def test_eval_tsv_percent_columns(tmp_path, capsys):
     ref = write_corpus(tmp_path / "r", {"p.txt": "\n".join(FIG_LEFT + FIG_RIGHT) + "\n"})
     hyp = write_corpus(tmp_path / "h", {"p.txt": "\n".join(FIG_HYP_LINES) + "\n"})

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pageval
 
 
@@ -7,3 +11,17 @@ def test_star_import_and_public_names_resolve():
     exec("from pageval import *", namespace)
     assert [n for n in pageval.__all__ if not hasattr(pageval, n)] == []
     assert set(pageval.__all__) <= namespace.keys()
+
+
+def test_cli_import_leaves_scipy_optimize_and_process_pool_unloaded():
+    # a fresh interpreter: this test process may already hold both
+    code = (
+        "import sys, pageval.cli; "
+        "print([m for m in ('scipy.optimize', 'concurrent.futures.process') "
+        "if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(pageval.__path__[0])},
+    )
+    assert done.stdout.strip() == "[]"

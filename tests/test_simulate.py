@@ -181,11 +181,24 @@ def test_sweep_prefix_property():
     step3, _ = apply_sweep_step(pages, cfg, plans, 3)
     step4, _ = apply_sweep_step(pages, cfg, plans, 4)
     # the S=4 corpus extends the S=3 corpus by exactly one more swap per page
-    for p3, p4, page in zip(step3, step4, pages):
-        plan = plans[page.page_id]
-        undo = apply_sweep_step([page], cfg, {page.page_id: plan}, min(3, len(plan)))[0][0]
+    for p3, p4, page, plan in zip(step3, step4, pages, plans):
+        undo = apply_sweep_step([page], cfg, [plan], min(3, len(plan)))[0][0]
         assert p3.lines == undo.lines
         assert p3.words != p4.words or len(plan) <= 3
+
+
+def test_sweep_plans_follow_page_order_not_page_id():
+    # API pages may share an id (the default is ""): each keeps its own plan
+    short = PageTranscript((("a", "b"), ("c", "d")))
+    long = PageTranscript(tuple((f"w{i}", "x") for i in range(8)))
+    cfg = DistortionConfig(mode=LINE_SWAP, seed=1, swaps=2, swap_range=(3, 6))
+    plans = sweep_plans([short, long], cfg, 2)
+    assert plans[0] == [] and len(plans[1]) == 2
+    out, _ = apply_sweep_step([short, long], cfg, plans, 2)
+    assert out[0].lines == short.lines
+    assert [p.lines for p in out] == [p.lines for p in distort_corpus([short, long], cfg)[0]]
+    with pytest.raises(StructureError):
+        apply_sweep_step([short, long], cfg, plans[:1], 2)
 
 
 @pytest.mark.parametrize("mode", [LINE_SWAP, LINE_SPLIT])
