@@ -35,29 +35,33 @@ def edit_distance(
     """Word-level edit distance from x to y with counts and trace.
 
     Returns (distance, EditCounts, Trace); distance == counts.errors and the
-    trace replays x into y.  O(|x|*|y|) time and memory.
+    trace replays x into y.  O(|x|*|y|) time; the full table is kept for the
+    backtrace, one list pointer (8 bytes) per cell.
     """
     n, m = len(x), len(y)
-    # distance table, row-major lists (cheap enough for word sequences)
-    dist: list[list[int]] = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        dist[i][0] = i
-    row0 = dist[0]
-    for j in range(1, m + 1):
-        row0[j] = j
-    for i in range(1, n + 1):
-        xi = x[i - 1]
-        prev = dist[i - 1]
-        cur = dist[i]
-        for j in range(1, m + 1):
-            d = prev[j - 1] + (xi != y[j - 1])
-            u = prev[j] + 1
-            if u < d:
-                d = u
-            l = cur[j - 1] + 1
-            if l < d:
-                d = l
-            cur[j] = d
+    # Row-major table.  Neighbouring cells differ by at most 1 (Ukkonen
+    # 1985), so min(diag + (xi != yj), up + 1, left + 1) is diag when the
+    # items match or up or left is below diag, and diag + 1 otherwise.
+    # diag + 1 is read from `succ`, so every cell points at a shared int
+    # object instead of allocating one.
+    succ = list(range(1, n + m + 2))
+    row = [0, *succ[:m]]
+    dist: list[list[int]] = [row]
+    for i, xi in enumerate(x, 1):
+        prev = row
+        row = [i]
+        append = row.append
+        ups = iter(prev)
+        diag = next(ups)
+        left = i
+        for yj, up in zip(y, ups):
+            if xi == yj or up < diag or left < diag:
+                left = diag
+            else:
+                left = succ[diag]
+            append(left)
+            diag = up
+        dist.append(row)
 
     # backtrace, preferring diagonal, then deletion, then insertion
     pairs: list[tuple[int | None, int | None]] = []
@@ -141,8 +145,9 @@ def char_edit_distance(
     The sequences are joined with single spaces first, so the separator
     spaces count as characters on both sides.  The joined strings go through
     `edit_distance` (a str is a sequence of characters), which keeps the full
-    table: O(n*m) time and memory in the two string lengths.  Metric paths
-    that need only the distance use `char_distance`.
+    table: O(n*m) time and memory in the two string lengths, at one pointer
+    per cell (about 31 MB traced on a 2,000 x 2,000-character pair).  Metric
+    paths that need only the distance use `char_distance`.
     """
     dist, counts, _ = edit_distance(join_words(x), join_words(y))
     return dist, counts

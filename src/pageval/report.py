@@ -106,8 +106,8 @@ def evaluate_page(
 
     try:
         t0 = time.perf_counter()
-        # the trace is dropped at once: kept through the hWER stage, its
-        # tuples pin the freed word-table memory (~35 MB at 2,000 words)
+        # the trace is dropped at once: kept through the hWER stage, it
+        # pins the freed word-table memory (~20 MB at 2,000 words)
         wer_dist, wer_counts = editdist.edit_distance(x, y)[:2]
         timings["wer"] = time.perf_counter() - t0
 

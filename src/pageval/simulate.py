@@ -11,9 +11,8 @@ re-checked against what actually happened.
 parameter, next to the closed-form prediction.  Line-mode sweeps use prefix
 plans: the plan for the largest count is drawn once per page and smaller
 counts apply a prefix of it, which makes measured trends comparable point
-to point.  `distort_corpus` draws the same plan, so its pages are the last
-step of a sweep up to its count.  A split plan for a smaller count is not a
-prefix of a longer one: `plan_splits` samples all its lines first.
+to point.  `distort_corpus` draws the same plans, so its pages equal the
+step at its count of any sweep that reaches that count.
 """
 
 from __future__ import annotations
@@ -266,12 +265,14 @@ def plan_splits(
     The split point is at character level with probability 1/5, else at a
     word gap.  Relocation options are equiprobable: (1) suffix before
     prefix, (2) suffix after the next line, (3) prefix after the next line.
+    Each entry draws its line (from the lines not yet chosen) and then its
+    own level, option and position, and entries stay in draw order, so the
+    plan for fewer splits is a prefix of the plan for more.
     """
     eligible = [i for i, line in enumerate(page.lines) if _splittable(line)]
-    count = min(max_splits, len(eligible))
-    chosen = sorted(rng.sample(eligible, count))
     plan: list[dict] = []
-    for i in chosen:
+    for _ in range(min(max_splits, len(eligible))):
+        i = eligible.pop(rng.randrange(len(eligible)))
         line = page.lines[i]
         char_level = rng.random() < CHAR_SPLIT_PROB
         if char_level and sum(len(w) for w in line) + len(line) - 1 < 2:

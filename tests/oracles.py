@@ -37,6 +37,49 @@ def edit_distance_bruteforce(x: Sequence, y: Sequence) -> int:
     return dist(0, 0)
 
 
+def edit_trace_reference(x: Sequence, y: Sequence):
+    """Textbook full-table Wagner-Fischer DP with a backtrace.
+
+    Every cell is min(diagonal + mismatch, up + 1, left + 1).  The backtrace
+    walks from the last cell and prefers the diagonal (match or
+    substitution), then deletion, then insertion.  Returns (distance,
+    (insertions, substitutions, deletions, correct), pairs), where pairs are
+    (i, j) index pairs in order with None on the empty side.
+    """
+    n, m = len(x), len(y)
+    table = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        for j in range(m + 1):
+            if i == 0 or j == 0:
+                table[i][j] = i + j
+            else:
+                table[i][j] = min(
+                    table[i - 1][j - 1] + (x[i - 1] != y[j - 1]),
+                    table[i - 1][j] + 1,
+                    table[i][j - 1] + 1,
+                )
+    ins = sub = dele = corr = 0
+    pairs = []
+    i, j = n, m
+    while i or j:
+        if i and j and table[i][j] == table[i - 1][j - 1] + (x[i - 1] != y[j - 1]):
+            if x[i - 1] == y[j - 1]:
+                corr += 1
+            else:
+                sub += 1
+            i, j = i - 1, j - 1
+            pairs.append((i, j))
+        elif i and table[i][j] == table[i - 1][j] + 1:
+            dele += 1
+            i -= 1
+            pairs.append((i, None))
+        else:
+            ins += 1
+            j -= 1
+            pairs.append((None, j))
+    return table[n][m], (ins, sub, dele, corr), tuple(reversed(pairs))
+
+
 def lev_bruteforce(a: str, b: str) -> int:
     return edit_distance_bruteforce(list(a), list(b))
 

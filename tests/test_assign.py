@@ -170,6 +170,74 @@ def test_solver_matches_bruteforce_enumeration():
         assert got == want, (x, y, gamma)
 
 
+def _noisy_zipf_page_pair(seed: int, n: int) -> tuple[list[str], list[str]]:
+    """A reference of n words over a ~60-word Zipf vocabulary and a noisy,
+    partly reordered hypothesis (substitutions, deletions, insertions and
+    swapped 10-word blocks)."""
+    rng = random.Random(seed)
+    vocab = list({random_word(rng, 1, 7) for _ in range(60)})
+    weights = [1 / (r + 1) for r in range(len(vocab))]
+    x = rng.choices(vocab, weights, k=n)
+    y = []
+    for w in x:
+        r = rng.random()
+        if r < 0.04:
+            continue
+        if r < 0.08:
+            y.append(rng.choice(vocab))
+        elif r < 0.12:
+            y.append(w[:-1] + random_word(rng, 1, 1))
+        else:
+            y.append(w)
+        if rng.random() < 0.04:
+            y.append(rng.choice(vocab))
+    for _ in range(8):
+        a, b = sorted(rng.sample(range(0, len(y) - 10, 10), 2))
+        y[a : a + 10], y[b : b + 10] = y[b : b + 10], y[a : a + 10]
+    return x, y
+
+
+def test_hwer_tie_break_is_exactly_lexicographic_at_scale():
+    # The epsilon tie-break must land on the exact (cost, hWER) optimum of
+    # the square layout.  Costs are scaled by 2n to integers (gamma = 1):
+    # real cells 2n*lev + 2|j-k|, dummy cells n*len + 2.  The second key is
+    # twice the hWER numerator less b: 2 per mismatched real pair, 1 per
+    # dummy pair.  K exceeds any key sum, so cost*K + key orders
+    # matchings by cost, then by hWER, and stays far below 2**53.
+    from scipy.optimize import linear_sum_assignment
+
+    x, y = _noisy_zipf_page_pair(seed=31, n=1000)
+    n, m = len(x), len(y)
+    ux, uy = sorted(set(x)), sorted(set(y))
+    lev = np.array([[lev_bruteforce(a, b) for b in uy] for a in ux], dtype=np.int64)
+    rows = np.searchsorted(np.array(ux), np.array(x))
+    cols = np.searchsorted(np.array(uy), np.array(y))
+    cost = np.zeros((n + m, n + m), dtype=np.int64)
+    key = np.zeros_like(cost)
+    j = np.arange(n)[:, None]
+    k = np.arange(m)[None, :]
+    cost[:n, :m] = 2 * n * lev[rows][:, cols] + 2 * np.abs(j - k)
+    key[:n, :m] = 2 * (np.array(x)[:, None] != np.array(y)[None, :])
+    cost[:n, m:] = (n * np.array([len(w) for w in x]) + 2)[:, None]
+    cost[n:, :m] = (n * np.array([len(w) for w in y]) + 2)[None, :]
+    key[:n, m:] = key[n:, :m] = 1
+    big_k = 2 * (n + m) + 1
+    combined = cost * big_k + key
+    assert combined.sum() < 2**53
+    r, c = linear_sum_assignment(combined.astype(np.float64))
+    best_cost, best_key = divmod(int(combined[r, c].sum()), big_k)
+
+    rate, alignment = hwer(x, y, 1.0)
+    got_cost = got_key = 0
+    for jj, kk in alignment.pairs:
+        cell = (jj if jj is not None else n, kk if kk is not None else m)
+        got_cost += int(cost[cell])
+        got_key += int(key[cell])
+    b = abs(n - m)
+    assert (got_cost, got_key) == (best_cost, best_key)
+    assert round(rate * n) == (best_key + b) // 2 == hwer_errors(x, y, alignment)
+
+
 def test_listed_alignments_are_cost_optimal_at_gamma_zero():
     for y, listed in ((EX3_Y, EX4_XY_ALIGNMENT), (EX3_Z, EX4_XZ_ALIGNMENT)):
         alignment, cost = solve_assignment(build_cost_matrix(EX3_X, y, 0.0))

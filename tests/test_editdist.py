@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pageval.core import (
+    EditCounts,
     EmptyReferenceError,
     PageTranscript,
     StructureError,
+    Trace,
     tokenize_page,
 )
 from pageval.editdist import (
@@ -21,7 +24,12 @@ from pageval.editdist import (
 )
 
 from conftest import EX1_X, EX1_Y, EX3_X, EX3_Y, EX3_Z
-from oracles import edit_distance_bruteforce, lev_bruteforce, replay_trace
+from oracles import (
+    edit_distance_bruteforce,
+    edit_trace_reference,
+    lev_bruteforce,
+    replay_trace,
+)
 
 words = st.lists(st.sampled_from(["a", "b", "ab", "ba", "abc"]), max_size=6)
 
@@ -103,6 +111,49 @@ def test_trace_replay_reconstructs_hypothesis(x, y):
     _, _, trace = edit_distance(x, y)
     trace.validate(len(x), len(y))
     assert replay_trace(x, y, trace.pairs) == list(y)
+
+
+def _assert_matches_reference(x, y):
+    ref_dist, ref_counts, ref_pairs = edit_trace_reference(x, y)
+    assert edit_distance(x, y) == (ref_dist, EditCounts(*ref_counts), Trace(ref_pairs))
+
+
+def test_edit_distance_matches_reference_tie_order():
+    # alphabets of 2-3 items tie many cells, so the backtrace preference
+    # (diagonal, then deletion, then insertion) decides most traces
+    rng = random.Random(6)
+    for _ in range(5000):
+        alphabet = "abc"[: rng.randint(2, 3)]
+        x = [rng.choice(alphabet) for _ in range(rng.randint(0, 12))]
+        y = [rng.choice(alphabet) for _ in range(rng.randint(0, 12))]
+        _assert_matches_reference(x, y)
+        _assert_matches_reference(y, x)
+
+
+def test_edit_distance_matches_reference_on_a_long_pair():
+    # cell values above 256 are past CPython's cached small ints
+    rng = random.Random(7)
+    vocab = [f"w{i}" for i in range(8)]
+    x = [rng.choice(vocab) for _ in range(600)]
+    y = [rng.choice(vocab) for _ in range(590)]
+    assert edit_distance(x, y)[0] > 256
+    _assert_matches_reference(x, y)
+
+
+def test_word_table_costs_one_pointer_per_cell():
+    # 1,001 x 1,001 cells at 8 bytes are ~8 MB; an int object per cell
+    # would be about 30 MB
+    rng = random.Random(8)
+    vocab = [f"w{i}" for i in range(60)]
+    x = [rng.choice(vocab) for _ in range(1000)]
+    y = [rng.choice(vocab) for _ in range(1000)]
+    tracemalloc.start()
+    try:
+        edit_distance(x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_levenshtein_matches_bruteforce_on_short_strings():

@@ -124,6 +124,16 @@ def test_split_count_limit():
     assert apply_splits(page, plan).line_count == page.line_count + 3
 
 
+@pytest.mark.parametrize("seed", [0, 3, 17, 42])
+def test_split_plans_are_prefix_stable(seed):
+    # the plan for S splits is the first S entries of the plan for M >= S
+    short = PageTranscript((("a", "bc"), ("d",), ("ef", "g")), "short.txt")
+    for page in synthetic_corpus(3, 9, 4, seed=70 + seed) + [short]:
+        longest = plan_splits(page, 12, random.Random(seed))
+        for count in range(13):
+            assert plan_splits(page, count, random.Random(seed)) == longest[:count]
+
+
 def test_split_option_semantics_word_level():
     page = PageTranscript((("a", "b", "c"), ("next", "line"), ("tail",)), "p")
     # option 1: suffix before prefix, in place
@@ -211,8 +221,8 @@ def test_distort_corpus_is_the_last_sweep_step(mode, seed):
             mode=mode, seed=seed, swaps=count, splits=count, swap_range=(1, 3)
         )
         out, manifest = distort_corpus(pages, cfg)
-        # a shorter swap plan is a prefix of a longer one; a split plan is not
-        for max_count in (count, count + 4) if mode == LINE_SWAP else (count,):
+        # a shorter plan is a prefix of a longer one
+        for max_count in (count, count + 4):
             plans = sweep_plans(pages, cfg, max_count)
             step, step_manifest = apply_sweep_step(pages, cfg, plans, count)
             assert [p.lines for p in step] == [p.lines for p in out]
