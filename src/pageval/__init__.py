@@ -6,12 +6,11 @@ reading-order distance, and a distortion simulator for controlled studies.
 from .assign import (
     CostMatrix,
     build_cost_matrix,
-    hcer,
     hwer,
     reorder_hypothesis,
     solve_assignment,
 )
-from .bow import bag_distance, beta_wer, bwac, bwer, word_bag
+from .bow import bag_distance, beta_wer, bwac, bwer
 from .core import (
     Alignment,
     EditCounts,
@@ -24,14 +23,7 @@ from .core import (
     join_words,
     tokenize_page,
 )
-from .editdist import (
-    cer,
-    char_edit_distance,
-    edit_distance,
-    page_wer_by_lines,
-    page_wer_concat,
-    wer,
-)
+from .editdist import edit_distance, page_wer_by_lines, page_wer_concat
 from .reading_order import nsfd, renumber
 from .report import CorpusReport, PageReport, aggregate, evaluate_page
 from .simulate import (
@@ -66,13 +58,10 @@ __all__ = [
     "build_cost_matrix",
     "bwac",
     "bwer",
-    "cer",
-    "char_edit_distance",
     "distort_chars",
     "distort_corpus",
     "edit_distance",
     "evaluate_page",
-    "hcer",
     "hwer",
     "join_words",
     "nsfd",
@@ -87,6 +76,4 @@ __all__ = [
     "solve_assignment",
     "tcer",
     "tokenize_page",
-    "wer",
-    "word_bag",
 ]

@@ -1,5 +1,5 @@
 """Regularized minimum-cost assignment between reference and hypothesis word
-instances, and the word/character error rates derived from it.
+instances, and the hWER/hCER error numerators derived from it.
 
 The cost of pairing reference word j with hypothesis word k is their
 character edit distance plus a reading-order regularizer gamma*|j-k|/N.
@@ -297,7 +297,7 @@ def solve_assignment(matrix: CostMatrix) -> tuple[Alignment, float]:
 def _canonical_solve(
     x: Sequence[str], y: Sequence[str], gamma: float
 ) -> Alignment:
-    """Solve with the epsilon mismatch penalty used by hwer/hcer.
+    """Solve with the epsilon mismatch penalty used by hwer.
 
     The penalty mirrors the hWER numerator (1 per mismatched real pair, 1/2
     per dummy pair) so ties resolve toward the lowest hWER; epsilon is small
@@ -336,7 +336,7 @@ def hwer(
     """Assignment-based WER and the optimal word alignment.
 
     The alignment is the one consumed downstream by the reading-order
-    metric and by hcer.
+    metric and by hcer_errors.
     """
     n = len(x)
     if n == 0:
@@ -367,18 +367,9 @@ def reorder_hypothesis(
     return out
 
 
-def hcer(
-    x: Sequence[str], y: Sequence[str], alignment: Alignment
-) -> float:
-    """Character error rate after reordering y along the alignment."""
-    denom = sum(len(w) for w in x) + max(0, len(x) - 1)
-    if denom == 0:
-        raise EmptyReferenceError("hCER is undefined for an empty reference")
-    return hcer_errors(x, y, alignment) / denom
-
-
 def hcer_errors(
     x: Sequence[str], y: Sequence[str], alignment: Alignment
 ) -> int:
-    """Character edit distance between x and the reordered hypothesis."""
+    """Integer hCER numerator: the character edit distance between x and
+    the hypothesis reordered along the alignment (`reorder_hypothesis`)."""
     return char_distance(x, reorder_hypothesis(x, y, alignment))

@@ -13,11 +13,6 @@ from typing import Sequence
 from .core import EditCounts, EmptyReferenceError
 
 
-def word_bag(words: Sequence[str]) -> Counter:
-    """Multiset of word occurrences."""
-    return Counter(words)
-
-
 def bag_distance(x: Sequence[str], y: Sequence[str]) -> int:
     """Total multiset frequency discrepancy between the two sides.
 
@@ -39,24 +34,27 @@ def bwer(x: Sequence[str], y: Sequence[str]) -> tuple[float, EditCounts]:
     """Bag-of-words WER with avoidable insertion/deletion pairs recast as
     substitutions: (b + B) / (2N) with b = ||x| - |y||.
 
-    B - b is always even, so the rate equals (b + (B - b) // 2) / N exactly.
+    The rate is bwer_errors / N: B - b is always even, so that equals
+    (b + B) / (2N) exactly, and int / int division rounds both the same.
     The derived counts attribute the b unavoidable operations as deletions
-    when the reference is longer, insertions when the hypothesis is longer.
+    when the reference is longer, insertions when the hypothesis is longer;
+    the other bwer_errors - b errors are substitutions.
     """
     n = len(x)
     if n == 0:
         raise EmptyReferenceError("bWER is undefined for an empty reference")
-    big_b = bag_distance(x, y)
+    errors = bwer_errors(x, y)
     b = abs(n - len(y))
-    subs = (big_b - b) // 2
     dels = b if n > len(y) else 0
     ins = b if len(y) > n else 0
+    subs = errors - b
     counts = EditCounts(ins, subs, dels, n - dels - subs)
-    return (b + big_b) / (2 * n), counts
+    return errors / n, counts
 
 
 def bwer_errors(x: Sequence[str], y: Sequence[str]) -> int:
-    """Integer numerator of bWER: b + (B - b) // 2."""
+    """Integer numerator of bWER: b + (B - b) // 2, with B the bag distance
+    and b = ||x| - |y||."""
     big_b = bag_distance(x, y)
     b = abs(len(x) - len(y))
     return b + (big_b - b) // 2

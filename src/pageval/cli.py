@@ -5,9 +5,10 @@ A corpus is a directory of UTF-8 plain-text files, one file per page, one
 physical line per text line, reading order given by file order.  Reference
 and hypothesis pages are paired by identical relative path.
 
-Exit codes: 0 success, 1 usage error, 2 data errors (missing hypothesis
-or reference pages, unreadable files, empty references, a dead worker
-process, pages a sweep predictor cannot take).
+Exit codes: 0 success, 1 usage error (including an output path that cannot
+be written), 2 data errors (missing hypothesis or reference pages,
+unreadable files, empty references, a dead worker process, a page too large
+to score in the memory available, pages a sweep predictor cannot take).
 
 An `eval` report is written even when no page scores (every reference is
 blank, say, or a dead worker took every page): the JSON report then has
@@ -100,44 +101,33 @@ def _percent_row(values: dict) -> list[str]:
     return [f"{100 * values[c]:.1f}" for c in TSV_COLUMNS]
 
 
-def _page_json(report: PageReport, timing: bool) -> dict:
-    entry = {
-        "page_id": report.page_id,
+def _report_json(report: PageReport | CorpusReport) -> dict:
+    """The JSON fields that page and corpus entries share."""
+    return {
         "n_words": report.n_words,
         "n_chars": report.n_chars,
-        "n_hyp_words": report.n_hyp_words,
         "metrics": _metrics(report),
-        "extra": {
-            "beta_wer": report.beta_wer,
-            "delta_wer_h": report.delta_wer_h,
-            "dummy_pairs": report.dummy_pairs,
-            "length_gap": report.length_gap,
-        },
-        "errors": {
-            "wer": report.wer_errors,
-            "cer": report.cer_errors,
-            "bwer": report.bwer_errors,
-            "hwer": report.hwer_errors,
-            "hcer": report.hcer_errors,
-        },
+        "extra": {"beta_wer": report.beta_wer, "delta_wer_h": report.delta_wer_h},
         "wer_counts": asdict(report.wer_counts),
         "bwer_counts": asdict(report.bwer_counts),
+    }
+
+
+def _page_json(report: PageReport, timing: bool) -> dict:
+    entry = _report_json(report)
+    entry["extra"].update(dummy_pairs=report.dummy_pairs, length_gap=report.length_gap)
+    entry["page_id"] = report.page_id
+    entry["n_hyp_words"] = report.n_hyp_words
+    entry["errors"] = {
+        "wer": report.wer_errors,
+        "cer": report.cer_errors,
+        "bwer": report.bwer_errors,
+        "hwer": report.hwer_errors,
+        "hcer": report.hcer_errors,
     }
     if timing:
         entry["timings"] = dict(report.timings)
     return entry
-
-
-def _corpus_json(corpus: CorpusReport) -> dict:
-    return {
-        "n_pages": len(corpus.pages),
-        "n_words": corpus.n_words,
-        "n_chars": corpus.n_chars,
-        "metrics": _metrics(corpus),
-        "extra": {"beta_wer": corpus.beta_wer, "delta_wer_h": corpus.delta_wer_h},
-        "wer_counts": asdict(corpus.wer_counts),
-        "bwer_counts": asdict(corpus.bwer_counts),
-    }
 
 
 def _evaluate_one(args: tuple) -> tuple[str, PageReport | None, str | None]:
@@ -151,6 +141,14 @@ def _evaluate_one(args: tuple) -> tuple[str, PageReport | None, str | None]:
         return rel, evaluate_page(ref, hyp, gamma), None
     except EvalError as exc:
         return rel, None, str(exc)
+    except MemoryError:  # a page too large for the hWER matrix, say
+        return rel, None, "not enough memory to score this page"
+
+
+def _cannot_write(command: str, exc: OSError) -> int:
+    print(f"{command}: cannot write {exc.filename}: {exc.strerror or exc}",
+          file=sys.stderr)
+    return 1
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -208,7 +206,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = {"schema": SCHEMA_VERSION, "gamma": args.gamma}
         if corpus is not None:
-            payload["corpus"] = _corpus_json(corpus)
+            payload["corpus"] = {"n_pages": len(corpus.pages), **_report_json(corpus)}
             if args.per_page:
                 payload["pages"] = [_page_json(r, args.timing) for r in reports]
         if errors:
@@ -226,20 +224,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
         out_text = "\n".join(lines) + "\n"
 
     if args.out:
-        Path(args.out).write_text(out_text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(out_text, encoding="utf-8")
+        except OSError as exc:
+            return _cannot_write("eval", exc)
     else:
         sys.stdout.write(out_text)
 
     if errors or missing:
         return 2
     return 0
-
-
-def _write_corpus(pages: Sequence[PageTranscript], out_dir: Path) -> None:
-    for page in pages:
-        path = out_dir / page.page_id
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(page.text() + "\n", encoding="utf-8")
 
 
 def _sim_config(args: argparse.Namespace) -> simulate.DistortionConfig:
@@ -285,7 +279,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"simulate: no pages under {ref_dir}", file=sys.stderr)
         return 2
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.sweep is not None:
         lines = []
         try:
@@ -298,14 +291,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         except EvalError as exc:
             print(f"simulate: {exc}", file=sys.stderr)
             return 2
-        (out_dir / "sweep.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return 0
+        except MemoryError:
+            print("simulate: not enough memory to score a page", file=sys.stderr)
+            return 2
+        files = {"sweep.tsv": "\n".join(lines) + "\n"}
+    else:
+        distorted, manifest = simulate.distort_corpus(pages, cfg)
+        files = {page.page_id: page.text() + "\n" for page in distorted}
+        files[MANIFEST] = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
-    distorted, manifest = simulate.distort_corpus(pages, cfg)
-    _write_corpus(distorted, out_dir)
-    (out_dir / MANIFEST).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    try:
+        for name, text in files.items():
+            path = out_dir / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        return _cannot_write("simulate", exc)
     return 0
 
 

@@ -13,12 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-# A word token is a plain str: non-empty, no whitespace.  The dummy side of
-# an insertion/deletion pair is None, never a sentinel index.
-WordToken = str
-AlignPair = tuple  # (ref_index | None, hyp_index | None)
-
-
 class EvalError(Exception):
     """Base class for evaluation errors."""
 

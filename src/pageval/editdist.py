@@ -1,5 +1,6 @@
-"""Levenshtein edit distance with backtrace at word and character level,
-and the line-based / concatenation-based page-level WER (with CER helpers).
+"""Levenshtein edit distance with backtrace at word level, the character
+distance between word sequences, and the line-based and
+concatenation-based page-level WER.
 
 All edit operations have unit cost.  Backtrace tie-breaking prefers
 match/substitution over deletion over insertion, which keeps traces and
@@ -7,9 +8,9 @@ operation counts deterministic; the distance itself is tie-independent.
 
 Three engines compute edit distances:
 - `edit_distance`: a plain-Python full-table DP with backtrace, for word
-  sequences and (through `char_edit_distance`) character counts;
-- `_myers_distance`: a bigint bit-parallel (Myers) distance for page-sized
-  strings when only the distance is needed;
+  sequences;
+- `_myers_distance`: a bigint bit-parallel (Myers) distance, distance only;
+  `char_distance` runs it on page-sized strings;
 - `assign._unique_pair_table`: a batched bit-parallel kernel with one uint64
   lane per word pair, for the assignment pair costs; it falls back to
   `_myers_distance` for words too long for a lane.
@@ -133,40 +134,12 @@ def _myers_distance(a: str, b: str) -> int:
 
 def char_distance(x: Sequence[str], y: Sequence[str]) -> int:
     """Character-level edit distance between two word sequences, distance
-    only (single-space join convention, same as char_edit_distance)."""
-    return _myers_distance(join_words(x), join_words(y))
+    only.
 
-
-def char_edit_distance(
-    x: Sequence[str], y: Sequence[str]
-) -> tuple[int, EditCounts]:
-    """Character-level edit distance between two word sequences.
-
-    The sequences are joined with single spaces first, so the separator
-    spaces count as characters on both sides.  The joined strings go through
-    `edit_distance` (a str is a sequence of characters), which keeps the full
-    table: O(n*m) time and memory in the two string lengths, at one pointer
-    per cell (about 31 MB traced on a 2,000 x 2,000-character pair).  Metric
-    paths that need only the distance use `char_distance`.
+    Each sequence is joined with single spaces first, so the separator
+    spaces count as characters on both sides.
     """
-    dist, counts, _ = edit_distance(join_words(x), join_words(y))
-    return dist, counts
-
-
-def wer(x: Sequence[str], y: Sequence[str]) -> float:
-    """Word error rate (i+s+d)/|x|.  May exceed 1."""
-    if len(x) == 0:
-        raise EmptyReferenceError("WER is undefined for an empty reference")
-    dist, _, _ = edit_distance(x, y)
-    return dist / len(x)
-
-
-def cer(x: Sequence[str], y: Sequence[str]) -> float:
-    """Character error rate over the joined word sequences."""
-    denom = sum(len(w) for w in x) + max(0, len(x) - 1)
-    if denom == 0:
-        raise EmptyReferenceError("CER is undefined for an empty reference")
-    return char_distance(x, y) / denom
+    return _myers_distance(join_words(x), join_words(y))
 
 
 def page_wer_by_lines(

@@ -142,7 +142,7 @@ def evaluate_page(
         n_hyp_words=len(y),
         wer_errors=wer_dist,
         cer_errors=cer_dist,
-        bwer_errors=bow.bwer_errors(x, y),
+        bwer_errors=bwer_counts.errors,
         hwer_errors=assign.hwer_errors(x, y, alignment),
         hcer_errors=hcer_dist,
         beta_wer=beta,

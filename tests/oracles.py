@@ -7,6 +7,7 @@ check.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -78,6 +79,13 @@ def edit_trace_reference(x: Sequence, y: Sequence):
             j -= 1
             pairs.append((None, j))
     return table[n][m], (ins, sub, dele, corr), tuple(reversed(pairs))
+
+
+def bag_distance_counter(x: Sequence[str], y: Sequence[str]) -> int:
+    """Bag distance B: the summed absolute difference of each word's
+    occurrence counts on the two sides."""
+    fx, fy = Counter(x), Counter(y)
+    return sum(abs(fx[w] - fy[w]) for w in set(x) | set(y))
 
 
 def lev_bruteforce(a: str, b: str) -> int:

@@ -7,14 +7,14 @@ import pytest
 from pageval import assign
 from pageval.assign import (
     build_cost_matrix,
-    hcer,
+    hcer_errors,
     hwer,
     hwer_errors,
     reorder_hypothesis,
     solve_assignment,
 )
 from pageval.bow import bwer
-from pageval.core import Alignment, EmptyReferenceError, StructureError
+from pageval.core import Alignment, EmptyReferenceError, PageTranscript, StructureError
 
 from conftest import (
     EX3_X,
@@ -197,7 +197,44 @@ def _noisy_zipf_page_pair(seed: int, n: int) -> tuple[list[str], list[str]]:
     return x, y
 
 
-def test_hwer_tie_break_is_exactly_lexicographic_at_scale():
+def _planted_tie_page_pair(seed: int, n: int) -> tuple[list[str], list[str]]:
+    """n reference words and 2n hypothesis words: x[j] has a same-length
+    one-edit neighbour at y[j] and an identical copy at y[j + n].
+
+    At gamma = 1 both partners cost exactly 1.0 in float64 (1 + 0/n and
+    0 + n/n), and the partner left over costs the same dummy either way, so
+    every mix of the two is cost-optimal; only the copies give the lowest
+    hWER.  Every word is made of fresh code points, so a word shares
+    characters only with its own neighbour and copy.
+    """
+    rng = random.Random(seed)
+    fresh = iter(rng.sample(range(0x4E00, 0x4E00 + 6 * n), 6 * n))
+    x, neighbours = [], []
+    for _ in range(n):
+        word = [chr(next(fresh)) for _ in range(rng.randint(3, 5))]
+        x.append("".join(word))
+        word[rng.randrange(len(word))] = chr(next(fresh))
+        neighbours.append("".join(word))
+    return x, neighbours + x
+
+
+def _lev_table(ux: list[str], uy: list[str]) -> np.ndarray:
+    # words with no character in common are max(len) apart: no aligned
+    # character pair matches, and the longer word needs one operation each
+    sets = [set(b) for b in uy]
+    return np.array(
+        [
+            [
+                max(len(a), len(b)) if sb.isdisjoint(a) else lev_bruteforce(a, b)
+                for b, sb in zip(uy, sets)
+            ]
+            for a in ux
+        ],
+        dtype=np.int64,
+    )
+
+
+def _assert_exact_lexicographic_optimum(x: list[str], y: list[str]) -> None:
     # The epsilon tie-break must land on the exact (cost, hWER) optimum of
     # the square layout.  Costs are scaled by 2n to integers (gamma = 1):
     # real cells 2n*lev + 2|j-k|, dummy cells n*len + 2.  The second key is
@@ -206,10 +243,9 @@ def test_hwer_tie_break_is_exactly_lexicographic_at_scale():
     # matchings by cost, then by hWER, and stays far below 2**53.
     from scipy.optimize import linear_sum_assignment
 
-    x, y = _noisy_zipf_page_pair(seed=31, n=1000)
     n, m = len(x), len(y)
     ux, uy = sorted(set(x)), sorted(set(y))
-    lev = np.array([[lev_bruteforce(a, b) for b in uy] for a in ux], dtype=np.int64)
+    lev = _lev_table(ux, uy)
     rows = np.searchsorted(np.array(ux), np.array(x))
     cols = np.searchsorted(np.array(uy), np.array(y))
     cost = np.zeros((n + m, n + m), dtype=np.int64)
@@ -236,6 +272,15 @@ def test_hwer_tie_break_is_exactly_lexicographic_at_scale():
     b = abs(n - m)
     assert (got_cost, got_key) == (best_cost, best_key)
     assert round(rate * n) == (best_key + b) // 2 == hwer_errors(x, y, alignment)
+
+
+def test_hwer_tie_break_is_exactly_lexicographic_at_scale():
+    _assert_exact_lexicographic_optimum(*_noisy_zipf_page_pair(seed=31, n=1000))
+
+
+def test_hwer_tie_break_is_exactly_lexicographic_on_planted_ties():
+    # cost-optimal matchings of different hWER: fails without the tie-break
+    _assert_exact_lexicographic_optimum(*_planted_tie_page_pair(seed=32, n=700))
 
 
 def test_listed_alignments_are_cost_optimal_at_gamma_zero():
@@ -325,6 +370,10 @@ def test_reorder_rejects_inconsistent_alignment():
         reorder_hypothesis(["a"], ["b"], alignment_of([(0, 5)]))
     with pytest.raises(StructureError):
         reorder_hypothesis(["a", "b"], ["c"], alignment_of([(0, 0), (1, 0)]))
+
+
+def hcer(x, y, alignment) -> float:
+    return hcer_errors(x, y, alignment) / PageTranscript((tuple(x),)).char_count
 
 
 def test_hcer_worked_examples():

@@ -5,19 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pageval.bow import bag_distance, beta_wer, bwac, bwer, bwer_errors, word_bag
+from pageval.bow import bag_distance, beta_wer, bwac, bwer, bwer_errors
 from pageval.core import EmptyReferenceError
 from pageval.editdist import edit_distance
 
 from conftest import EX3A_X, EX3A_Y, EX3_X, EX3_Y, EX3_Z, TINY_X, TINY_Y
 
 words = st.lists(st.sampled_from(["a", "b", "c", "ab", "ba"]), max_size=12)
-
-
-def test_word_bag_counts():
-    bag = word_bag(["a", "b", "a"])
-    assert bag == {"a": 2, "b": 1}
-    assert sum(bag.values()) == 3
 
 
 def test_bag_distance_worked_examples():

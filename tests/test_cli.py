@@ -316,3 +316,73 @@ def test_eval_worker_crash_reported_per_page(tmp_path, monkeypatch, capsys):
     for entry in payload["page_errors"]:
         assert entry["error"].startswith("worker process died")
         assert f"eval: {entry['page_id']}: worker process died" in err
+
+
+def test_eval_unwritable_out_is_usage_error(tiny_corpus, tmp_path, capsys):
+    ref, hyp = tiny_corpus
+    out = tmp_path / "missing_dir" / "out.json"
+    code = main(["eval", "--ref", str(ref), "--hyp", str(hyp), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"eval: cannot write {out}: No such file or directory" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [["--mode", "swap", "--swaps", "1"], ["--mode", "char-word", "--sweep", "1"]],
+    ids=["pages", "sweep"],
+)
+def test_simulate_unwritable_out_dir_is_usage_error(tiny_corpus, tmp_path, capsys, mode):
+    ref, _ = tiny_corpus
+    blocker = tmp_path / "a_regular_file"
+    blocker.write_text("not a directory\n")
+    out_dir = blocker / "sub"
+    code = main(["simulate", "--ref", str(ref), "--out-dir", str(out_dir), *mode])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"simulate: cannot write {out_dir}: Not a directory" in err
+    assert "Traceback" not in err
+
+
+_real_evaluate_page = cli.evaluate_page
+
+
+def _out_of_memory_on_b(ref, hyp, gamma):
+    if ref.page_id == "b.txt":
+        raise MemoryError  # as numpy does when the hWER matrix does not fit
+    return _real_evaluate_page(ref, hyp, gamma)
+
+
+def test_eval_out_of_memory_page_is_a_page_error(tmp_path, monkeypatch, capsys):
+    pages = {"a.txt": "a few words\nto score\n", "b.txt": "far too many words\n"}
+    ref = write_corpus(tmp_path / "ref", pages)
+    hyp = write_corpus(tmp_path / "hyp", pages)
+    monkeypatch.setattr(cli, "evaluate_page", _out_of_memory_on_b)
+    out = tmp_path / "report.json"
+    code = main(["eval", "--ref", str(ref), "--hyp", str(hyp), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "eval: b.txt: not enough memory to score this page" in err
+    assert "Traceback" not in err
+    payload = json.loads(out.read_text())
+    assert payload["page_errors"] == [
+        {"page_id": "b.txt", "error": "not enough memory to score this page"}
+    ]
+    assert payload["corpus"]["n_pages"] == 1
+    assert payload["corpus"]["n_words"] == 5
+
+
+def test_simulate_sweep_out_of_memory_exit_two(tmp_path, monkeypatch, capsys):
+    from pageval import report
+
+    ref = write_corpus(tmp_path / "ref", {"a.txt": "some words\n", "b.txt": "more\n"})
+    monkeypatch.setattr(report, "evaluate_page", _out_of_memory_on_b)
+    out_dir = tmp_path / "out"
+    code = main(["simulate", "--ref", str(ref), "--out-dir", str(out_dir),
+                 "--mode", "char-word", "--sweep", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "simulate: not enough memory to score a page" in err
+    assert "Traceback" not in err
+    assert not (out_dir / "sweep.tsv").exists()

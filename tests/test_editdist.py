@@ -16,11 +16,10 @@ from pageval.core import (
 )
 from pageval.editdist import (
     _myers_distance,
-    char_edit_distance,
+    char_distance,
     edit_distance,
     page_wer_by_lines,
     page_wer_concat,
-    wer,
 )
 
 from conftest import EX1_X, EX1_Y, EX3_X, EX3_Y, EX3_Z
@@ -51,36 +50,40 @@ def test_word_distance_identity_and_empty():
     assert dist == 0
 
 
+def _page(words) -> PageTranscript:
+    return PageTranscript((tuple(words),), "p")
+
+
 def test_char_distance_worked_example():
-    dist, counts = char_edit_distance(EX1_X, EX1_Y)
+    dist = char_distance(EX1_X, EX1_Y)
     assert dist == 14
-    assert (counts.insertions, counts.substitutions, counts.deletions) == (4, 2, 8)
-    assert counts.reference_length == 40
+    # the operation counts, from the oracle DP on the single-space joined text
+    ref_dist, (ins, sub, dele, corr), _ = edit_trace_reference(
+        " ".join(EX1_X), " ".join(EX1_Y)
+    )
+    assert ref_dist == dist
+    assert (ins, sub, dele) == (4, 2, 8)
+    assert sub + dele + corr == _page(EX1_X).char_count == 40
     # CER = 14/40 = 35%
-    assert Fraction(dist, counts.reference_length) == Fraction(14, 40)
+    assert Fraction(dist, _page(EX1_X).char_count) == Fraction(14, 40)
 
 
 def test_char_distance_trivial_cases():
-    assert char_edit_distance(["same"], ["same"])[0] == 0
-    assert char_edit_distance(["be"], ["be,"])[0] == 1
-    assert char_edit_distance(["be"], ["be,"])[0] == lev_bruteforce("be", "be,")
+    assert char_distance(["same"], ["same"]) == 0
+    assert char_distance(["be"], ["be,"]) == 1
+    assert char_distance(["be"], ["be,"]) == lev_bruteforce("be", "be,")
 
 
 def test_wer_worked_example():
-    assert wer(EX1_X, EX1_Y) == 5 / 10
-    assert wer(EX1_X, EX1_X) == 0.0
+    assert page_wer_concat(_page(EX1_X), _page(EX1_Y))[0] == 5 / 10
+    assert page_wer_concat(_page(EX1_X), _page(EX1_X))[0] == 0.0
 
 
 def test_wer_can_exceed_one():
-    assert wer(["a"], ["b", "c", "d"]) == 3.0
+    assert page_wer_concat(_page(["a"]), _page(["b", "c", "d"]))[0] == 3.0
     assert edit_distance(["a"], ["b", "c", "d"])[0] == edit_distance_bruteforce(
         ["a"], ["b", "c", "d"]
     )
-
-
-def test_wer_empty_reference_rejected():
-    with pytest.raises(EmptyReferenceError):
-        wer([], ["a"])
 
 
 def test_distance_symmetry_small_random():

@@ -25,3 +25,45 @@ def test_cli_import_leaves_scipy_optimize_and_process_pool_unloaded():
         env={**os.environ, "PYTHONPATH": os.path.dirname(pageval.__path__[0])},
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_public_api_is_pinned():
+    # adding or deleting a public name should be a deliberate, visible change
+    assert sorted(pageval.__all__) == [
+        "Alignment",
+        "CorpusReport",
+        "CostMatrix",
+        "DistortionConfig",
+        "EditCounts",
+        "EmptyReferenceError",
+        "EvalError",
+        "IngestionError",
+        "PageReport",
+        "PageTranscript",
+        "StructureError",
+        "Trace",
+        "aggregate",
+        "bag_distance",
+        "beta_wer",
+        "build_cost_matrix",
+        "bwac",
+        "bwer",
+        "distort_chars",
+        "distort_corpus",
+        "edit_distance",
+        "evaluate_page",
+        "hwer",
+        "join_words",
+        "nsfd",
+        "page_wer_by_lines",
+        "page_wer_concat",
+        "predict_bwer_split_increase",
+        "predict_nsfd_splits",
+        "predict_nsfd_swaps",
+        "predict_twer",
+        "renumber",
+        "reorder_hypothesis",
+        "solve_assignment",
+        "tcer",
+        "tokenize_page",
+    ]

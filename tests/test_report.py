@@ -1,9 +1,15 @@
+import random
+
 import pytest
 
+from pageval.assign import hcer_errors, hwer, reorder_hypothesis
+from pageval.bow import bwer, bwer_errors
 from pageval.core import EmptyReferenceError, EvalError, PageTranscript, tokenize_page
+from pageval.editdist import char_distance
 from pageval.report import aggregate, evaluate_page
 
 from conftest import EX3_X, EX3_Y, two_column_pages
+from oracles import bag_distance_counter, lev_bruteforce
 
 
 def page_of(words, page_id="p"):
@@ -115,3 +121,33 @@ def test_missing_hypothesis_page_is_total_loss():
     r = evaluate_page(ref, PageTranscript((), "p"))
     assert r.wer == 1.0 and r.bwer == 1.0 and r.hwer == 1.0
     assert r.cer == 1.0
+
+
+def test_bwer_numerators_agree_with_counter_oracle():
+    # tiny alphabets repeat words, so the bags overlap in every proportion
+    rng = random.Random(41)
+    for _ in range(150):
+        vocab = ["a", "b", "ab", "ba", "abc"][: rng.randint(2, 5)]
+        u = [rng.choice(vocab) for _ in range(rng.randint(1, 12))]
+        v = [rng.choice(vocab) for _ in range(rng.randint(1, 12))]
+        for x, y in ((u, v), (v, u)):
+            n = len(x)
+            b = abs(n - len(y))
+            big_b = bag_distance_counter(x, y)
+            rate, counts = bwer(x, y)
+            assert rate == (b + big_b) / (2 * n)
+            assert counts.errors == bwer_errors(x, y) == (b + big_b) // 2
+            assert (counts.reference_length, counts.hypothesis_length) == (n, len(y))
+
+            ref, hyp = page_of(x), page_of(y)
+            r = evaluate_page(ref, hyp)
+            assert r.beta_wer == (2 * r.bwer_errors - r.length_gap) / r.n_words
+            assert r.beta_wer == big_b / n
+            _, alignment = hwer(x, y, 1.0)
+            assert r.hcer == hcer_errors(x, y, alignment) / ref.char_count
+            assert r.cer == char_distance(x, y) / ref.char_count
+            joined = " ".join(x)
+            reordered = " ".join(reorder_hypothesis(x, y, alignment))
+            assert r.cer_errors == lev_bruteforce(joined, " ".join(y))
+            assert r.hcer_errors == lev_bruteforce(joined, reordered)
+            assert r.n_chars == len(joined)

@@ -4,7 +4,7 @@ import pytest
 
 from pageval.bow import bwer
 from pageval.core import PageTranscript, StructureError
-from pageval.editdist import char_edit_distance
+from pageval.editdist import char_distance
 from pageval.simulate import (
     LINE_LEVEL,
     LINE_SPLIT,
@@ -64,7 +64,7 @@ def test_word_level_realized_rate_near_target():
     cfg = DistortionConfig(mode=WORD_LEVEL, seed=2, tcer_step=1)
     out, _ = distort_corpus(pages, cfg)
     measured = sum(
-        char_edit_distance(p.words, d.words)[0] for p, d in zip(pages, out)
+        char_distance(p.words, d.words) for p, d in zip(pages, out)
     ) / total
     assert measured == pytest.approx(tcer(1), rel=0.10)
 
