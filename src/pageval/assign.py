@@ -75,8 +75,8 @@ class CostMatrix:
         return self.n_ref + self.n_hyp
 
 
-# Pairs per block of reference rows: each (v, u) uint64 lane array is then at
-# most 16 MB, and the kernel keeps about eight of them alive.
+# Pairs per block of reference rows: the block's (v, u) read-out arrays are
+# then at most 16 MB, and its packed lane arrays smaller still.
 _PAIR_BLOCK_CELLS = 1 << 21
 _LANE_BITS = 64
 # Cells per row block of the real-pair block in `_assemble`: its gather and
@@ -86,52 +86,97 @@ _ASSEMBLE_BLOCK_CELLS = 1 << 18
 
 def _codepoints(words: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Concatenated code points, each one's word index and its position in
-    the word, for a list of words."""
+    the word, for a list of words.  Lone surrogates pass through as their
+    own code points, as they do in the other engines."""
     lens = np.fromiter((len(w) for w in words), dtype=np.int64, count=len(words))
-    flat = np.frombuffer("".join(words).encode("utf-32-le"), dtype=np.uint32)
+    flat = np.frombuffer(
+        "".join(words).encode("utf-32-le", "surrogatepass"), dtype=np.uint32
+    )
     owner = np.repeat(np.arange(len(words)), lens)
     pos = np.arange(flat.size) - np.repeat(np.cumsum(lens) - lens, lens)
     return flat, owner, pos
 
 
+def _pack_lanes(lens: list[int]) -> tuple[np.ndarray, ...]:
+    """Greedy lane layout for words of 1 to 64 characters.
+
+    A word takes len + 1 bits: its bit field, then a zero separator bit
+    that absorbs the carry out of the field; a word that ends at bit 63
+    needs no separator.  Returns each word's lane, bit offset and field
+    mask, and per lane the mask of every field's bottom bit (`low`) and
+    the union of its fields (`keep`).
+    """
+    lane: list[int] = []
+    offset: list[int] = []
+    field: list[int] = []
+    low = [0]
+    keep = [0]
+    off = 0
+    for w in lens:
+        if off + w > _LANE_BITS:
+            low.append(0)
+            keep.append(0)
+            off = 0
+        f = ((1 << w) - 1) << off
+        lane.append(len(low) - 1)
+        offset.append(off)
+        field.append(f)
+        low[-1] |= 1 << off
+        keep[-1] |= f
+        off += w + 1
+    return (
+        np.array(lane, dtype=np.intp),
+        np.array(offset, dtype=np.uint64),
+        np.array(field, dtype=np.uint64),
+        np.array(low, dtype=np.uint64),
+        np.array(keep, dtype=np.uint64),
+    )
+
+
+def _field_counts(
+    bits: np.ndarray, rows: np.ndarray, lane: np.ndarray, field: np.ndarray
+) -> np.ndarray:
+    """popcount(bits[row, lane of w] & field of w) for every row and packed
+    word w; the uint64 gather is freed before the caller makes the next."""
+    cells = bits[rows, lane]
+    cells &= field
+    return np.bitwise_count(cells)
+
+
 def _unique_pair_table(ux: list[str], uy: list[str]) -> np.ndarray:
     """Levenshtein distance for every unique word pair, as one batched
-    bit-parallel kernel (Myers 1999, in Hyyro's edit-distance form).
+    bit-parallel kernel (Myers 1999, in Hyyro's edit-distance form), with
+    several reference words packed into each uint64 lane (Hyyro, Fredriksson
+    & Navarro 2005).
 
-    Each (reference word, hypothesis word) pair is one uint64 lane: the
-    reference word is the bit-vector pattern, the hypothesis word the text
-    scanned one character per step.  Hypothesis words are visited longest
-    first, so the pairs still running at character t are a prefix of the
-    (v, u) lane arrays.  Carries and shifts only move bits upward, so bits
-    above a pattern's length never disturb the ones below and need no mask.
+    Each lane holds reference words as bit-vector patterns, one bit field
+    per word (`_pack_lanes`); the hypothesis word is the text scanned one
+    character per step, one row of lanes per hypothesis word.  Two ops keep
+    the fields apart: `hp` shifts a 1 into every field's bottom bit (`low`,
+    the top row of each word's own distance table), and `vp &= keep` clears
+    the separator bits, so no carry or shifted bit crosses into the next
+    word.  Hypothesis words are visited longest first, so the rows still
+    running at character t are a prefix of the lane arrays.  Once a
+    hypothesis word b is done, each distance is read off the last column:
+    |b| + popcount(vp & field) - popcount(vn & field).
+
     Reference words that do not fit a lane (empty, or over 64 characters)
-    fall back to the bigint engine one pair at a time.  Very large
-    vocabularies are processed in row blocks to bound memory.
+    fall back to the bigint engine one pair at a time.  Reference words are
+    packed and read out in row blocks of at most `_PAIR_BLOCK_CELLS` pairs,
+    each written straight into the one result table.
     """
     u, v = len(ux), len(uy)
-    if u * v > _PAIR_BLOCK_CELLS:
-        step = max(1, _PAIR_BLOCK_CELLS // v)
-        return np.concatenate(
-            [_unique_pair_table(ux[i : i + step], uy) for i in range(0, u, step)]
-        )
-    la = np.fromiter((len(w) for w in ux), dtype=np.int64, count=u)
-    lb = np.fromiter((len(w) for w in uy), dtype=np.int64, count=v)
     table = np.empty((u, v), dtype=np.float64)
     if u == 0 or v == 0:
         return table
+    la = np.fromiter((len(w) for w in ux), dtype=np.int64, count=u)
+    lb = np.fromiter((len(w) for w in uy), dtype=np.int64, count=v)
+    packs = (la > 0) & (la <= _LANE_BITS)
 
     # character codes: 1.. for characters of the reference words, 0 (all
     # masks zero) for characters seen only in the hypothesis
     a_flat, a_owner, a_pos = _codepoints(ux)
     alphabet, a_code = np.unique(a_flat, return_inverse=True)
-    in_lane = a_pos < _LANE_BITS
-    peq = np.zeros((alphabet.size + 1, u), dtype=np.uint64)
-    np.bitwise_or.at(
-        peq,
-        (a_code[in_lane] + 1, a_owner[in_lane]),
-        np.left_shift(np.uint64(1), a_pos[in_lane].astype(np.uint64)),
-    )
-
     b_flat, b_owner, b_pos = _codepoints(uy)
     found = np.searchsorted(alphabet, b_flat)
     hit = found < alphabet.size
@@ -144,38 +189,66 @@ def _unique_pair_table(ux: list[str], uy: list[str]) -> np.ndarray:
     text = np.zeros((max_b, v), dtype=np.intp)
     text[b_pos, rank[b_owner]] = np.where(hit, found + 1, 0)
     running = v - np.cumsum(np.bincount(lb, minlength=max_b + 1))[:max_b]
+    # the top cell of hypothesis word b's last column is |b|
+    top = lb[:, None].astype(np.float64)
 
-    shift = np.clip(la - 1, 0, _LANE_BITS - 1).astype(np.uint64)
-    vp = np.full((v, u), np.iinfo(np.uint64).max, dtype=np.uint64)
-    vn = np.zeros((v, u), dtype=np.uint64)
-    score = np.tile(la.astype(np.uint64), (v, 1))
-    for t in range(max_b):
-        k = int(running[t])
-        vp_k, vn_k, score_k = vp[:k], vn[:k], score[:k]
-        x = peq[text[t, :k]]
-        x |= vn_k
-        d0 = x & vp_k
-        d0 += vp_k
-        d0 ^= vp_k
-        d0 |= x
-        hp = d0 | vp_k
-        np.invert(hp, out=hp)
-        hp |= vn_k
-        hn = np.bitwise_and(d0, vp_k, out=x)
-        # the last pattern row's horizontal delta moves the score; an hp and
-        # an hn bit never coincide, so the running score never underflows
-        score_k += (hp >> shift) & np.uint64(1)
-        score_k -= (hn >> shift) & np.uint64(1)
-        hp <<= np.uint64(1)
-        hp |= np.uint64(1)
-        hn <<= np.uint64(1)
-        np.bitwise_or(d0, hp, out=vp_k)
-        np.invert(vp_k, out=vp_k)
-        vp_k |= hn
-        np.bitwise_and(d0, hp, out=vn_k)
-    table[:] = score[rank].T
+    one = np.uint64(1)
+    char_start = np.concatenate(([0], np.cumsum(la)))
+    step = max(1, _PAIR_BLOCK_CELLS // v)
+    for start in range(0, u, step):
+        stop = min(start + step, u)
+        words = start + np.flatnonzero(packs[start:stop])
+        if not words.size:
+            continue
+        lane, offset, field, low, keep = _pack_lanes(la[words].tolist())
+        # peq[c, lane]: the bits of character c in every field of the lane
+        chars = slice(char_start[start], char_start[stop])
+        owner = a_owner[chars]
+        fits = packs[owner]
+        # each packed word's index in `words`
+        owner = (np.cumsum(packs[start:stop]) - 1)[owner[fits] - start]
+        peq = np.zeros((alphabet.size + 1, low.size), dtype=np.uint64)
+        np.bitwise_or.at(
+            peq,
+            (a_code[chars][fits] + 1, lane[owner]),
+            one << (offset[owner] + a_pos[chars][fits].astype(np.uint64)),
+        )
 
-    for i in np.flatnonzero((la == 0) | (la > _LANE_BITS)).tolist():
+        vp = np.tile(keep, (v, 1))
+        vn = np.zeros((v, low.size), dtype=np.uint64)
+        for t in range(max_b):
+            k = int(running[t])
+            vp_k, vn_k = vp[:k], vn[:k]
+            x = peq[text[t, :k]]
+            x |= vn_k
+            d0 = x & vp_k
+            d0 += vp_k
+            d0 ^= vp_k
+            d0 |= x
+            hp = d0 | vp_k
+            np.invert(hp, out=hp)
+            hp |= vn_k
+            hn = np.bitwise_and(d0, vp_k, out=x)
+            hp <<= one
+            hp |= low
+            hn <<= one
+            np.bitwise_or(d0, hp, out=vp_k)
+            np.invert(vp_k, out=vp_k)
+            vp_k |= hn
+            vp_k &= keep
+            np.bitwise_and(d0, hp, out=vn_k)
+
+        # (hypothesis, reference) read-out, hypothesis words in input order
+        rows = rank[:, None]
+        dist = np.subtract(
+            _field_counts(vp, rows, lane, field),
+            _field_counts(vn, rows, lane, field),
+            dtype=np.float64,
+        )
+        dist += top
+        table[words] = dist.T
+
+    for i in np.flatnonzero(~packs).tolist():
         table[i] = [_myers_distance(ux[i], w) for w in uy]
     return table
 

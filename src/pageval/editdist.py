@@ -9,11 +9,11 @@ operation counts deterministic; the distance itself is tie-independent.
 Three engines compute edit distances:
 - `edit_distance`: a plain-Python full-table DP with backtrace, for word
   sequences;
-- `_myers_distance`: a bigint bit-parallel (Myers) distance, distance only;
-  `char_distance` runs it on page-sized strings;
-- `assign._unique_pair_table`: a batched bit-parallel kernel with one uint64
-  lane per word pair, for the assignment pair costs; it falls back to
-  `_myers_distance` for words too long for a lane.
+- `_myers_distance`: a bigint bit-parallel (Myers) distance, distance only,
+  read off the last column; `char_distance` runs it on page-sized strings;
+- `assign._unique_pair_table`: a batched bit-parallel kernel over uint64
+  lanes, each packing several reference words, for the assignment pair
+  costs; it falls back to `_myers_distance` for words too long for a lane.
 """
 
 from __future__ import annotations
@@ -95,9 +95,11 @@ def _myers_distance(a: str, b: str) -> int:
     """Bit-parallel Levenshtein distance (Myers/Hyyro), O(n*m/wordsize).
 
     Distance only, no counts; Python integers serve as unbounded bit
-    vectors so any pattern length works.  Used for page-sized strings where
-    the counting DP would be needlessly slow, and by the assignment pair
-    table for words too long for its 64-bit lanes.
+    vectors so any pattern length works.  The distance is read once off
+    the last column's vertical deltas, |b| + #vp - #vn, not kept as a
+    running score.  Used for page-sized strings where the counting DP would
+    be needlessly slow, and by the assignment pair table for words too long
+    for its 64-bit lanes.
     """
     if a == b:
         return 0
@@ -107,29 +109,24 @@ def _myers_distance(a: str, b: str) -> int:
         return len(a)
     if len(a) > len(b):
         a, b = b, a
-    m = len(a)
-    full = (1 << m) - 1
-    last = 1 << (m - 1)
+    full = (1 << len(a)) - 1
     peq: dict[str, int] = {}
     for i, c in enumerate(a):
         peq[c] = peq.get(c, 0) | (1 << i)
+    # `full ^ v` is `~v & full` for v within `full`: every int stays
+    # non-negative and at most len(a) + 1 bits
     vp = full
     vn = 0
-    score = m
     for c in b:
         x = peq.get(c, 0) | vn
         d0 = ((((x & vp) + vp) ^ vp) | x) & full
-        hp = vn | (~(d0 | vp) & full)
+        hp = vn | (full ^ (d0 | vp))
         hn = d0 & vp
-        if hp & last:
-            score += 1
-        elif hn & last:
-            score -= 1
         hp = ((hp << 1) | 1) & full
         hn = (hn << 1) & full
-        vp = hn | (~(d0 | hp) & full)
+        vp = hn | (full ^ (d0 | hp))
         vn = d0 & hp
-    return score
+    return len(b) + vp.bit_count() - vn.bit_count()
 
 
 def char_distance(x: Sequence[str], y: Sequence[str]) -> int:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -63,11 +64,16 @@ def _vocab(rng: random.Random, alphabet: str, lengths) -> list[str]:
     return sorted({"".join(rng.choice(alphabet) for _ in range(n)) for n in lengths})
 
 
+def _word(rng: random.Random, alphabet: str, n: int) -> str:
+    return "".join(rng.choice(alphabet) for _ in range(n))
+
+
 def _pair_table_cases():
     rng = random.Random(61)
     short = [rng.randint(1, 7) for _ in range(14)]
     # lane edge: 63 and 64 fit one uint64 lane, 65 and ~80 take the fallback
     edges = [1, 63, 64, 65, 79, 80, 82]
+    hyp_lengths = [0, 1, 2, 5, 9, 20, 31, 32, 33, 63, 64, 65, 70]
     return [
         pytest.param(_vocab(rng, "ab", short), _vocab(rng, "ab", short),
                      id="ab-alphabet"),
@@ -78,6 +84,23 @@ def _pair_table_cases():
         pytest.param(_vocab(rng, "abc", edges), _vocab(rng, "abcd", edges + [2, 40]),
                      id="lane-edge"),
         pytest.param(["", "a", "ab"], ["", "b", "ba"], id="empty-words"),
+        # 32 one-character words fill one lane, separators and all
+        pytest.param(list("abcdefghijklmnopqrstuvwxyzäöüßΩж"),
+                     ["", "a", "ab", "ж", "Ωa", "zz", "x" * 5, "ba" * 4],
+                     id="full-lane"),
+        # 31 + 32 and 20 + 21 + 21 characters end exactly at bit 63
+        pytest.param([_word(rng, "ab", n) for n in (31, 32, 20, 21, 21, 5)],
+                     [_word(rng, "ab", n) for n in hyp_lengths], id="ends-at-bit-63"),
+        # a 63- and a 64-character word each fill a lane alone, between
+        # fallback words
+        pytest.param([_word(rng, "abc", n) for n in (0, 63, 65, 64, 80, 1)],
+                     [_word(rng, "abc", n) for n in hyp_lengths], id="lone-63-64"),
+        pytest.param([_word(rng, "ab", n) for n in (1, 2, 3, 1, 4, 2)],
+                     [_word(rng, "abx", n) for n in (9, 12, 40, 66, 5)],
+                     id="long-hypothesis"),
+        pytest.param(["ab", "\ud800x", "\udfff", "a\udc80\ud800"],
+                     ["\ud800", "x\ud800", "ab", "\udc80\ud800b", ""],
+                     id="lone-surrogates"),
     ]
 
 
@@ -89,6 +112,45 @@ def test_unique_pair_table_matches_bruteforce(ux, uy):
     assert got.tolist() == want
 
 
+def test_pack_lanes_layout():
+    lane, offset, field, low, keep = assign._pack_lanes([1] * 32)
+    assert lane.tolist() == [0] * 32
+    assert offset.tolist() == list(range(0, 64, 2))
+    assert low.tolist() == keep.tolist() == [0x5555_5555_5555_5555]
+    # a 32-character word ends at bit 63 with no separator above it
+    lane, offset, field, low, keep = assign._pack_lanes([31, 32, 1])
+    assert lane.tolist() == [0, 0, 1]
+    assert offset.tolist() == [0, 32, 0]
+    assert field.tolist() == [2**31 - 1, 2**64 - 2**32, 1]
+    assert low.tolist() == [1 | 2**32, 1]
+    assert keep.tolist() == [2**64 - 1 - 2**31, 1]
+    lane, offset, *_ = assign._pack_lanes([63, 64, 1, 62, 1])
+    assert lane.tolist() == [0, 1, 2, 2, 3]
+    assert offset.tolist() == [0, 0, 0, 2, 0]
+
+
+def test_unique_pair_table_fuzz_matches_bruteforce():
+    # random vocabularies: mostly short words, so most lanes pack several,
+    # with some near and past the 64-bit lane edge
+    rng = random.Random(71)
+    for _ in range(300):
+        alphabet = rng.choice(["ab", "abc", "aäΩ", "abcdefgh"])
+
+        def length():
+            r = rng.random()
+            if r < 0.75:
+                return rng.randint(0, 8)
+            if r < 0.95:
+                return rng.randint(9, 34)
+            return rng.randint(60, 68)
+
+        ux = sorted({_word(rng, alphabet, length()) for _ in range(rng.randint(1, 12))})
+        uy = sorted({_word(rng, alphabet + "z", length()) for _ in range(rng.randint(1, 6))})
+        rng.shuffle(ux)
+        got = assign._unique_pair_table(ux, uy)
+        assert got.tolist() == [[lev_bruteforce(a, b) for b in uy] for a in ux], (ux, uy)
+
+
 def test_unique_pair_table_row_blocks(monkeypatch):
     rng = random.Random(67)
     ux = _vocab(rng, "abc", [rng.randint(1, 9) for _ in range(11)] + [70])
@@ -96,6 +158,29 @@ def test_unique_pair_table_row_blocks(monkeypatch):
     monkeypatch.setattr(assign, "_PAIR_BLOCK_CELLS", 3 * len(uy))
     got = assign._unique_pair_table(ux, uy)
     assert got.tolist() == [[lev_bruteforce(a, b) for b in uy] for a in ux]
+
+
+def test_unique_pair_table_memory_is_bounded_by_row_blocks():
+    # a 2,990 x 2,983 vocabulary: the float64 table is 68 MB, and each row
+    # block's read-out adds at most ~36 MB; read out in one piece, the
+    # (v, u) gathers and counts take the peak to about 2.6x the table
+    rng = random.Random(73)
+
+    def vocab(n):
+        words = set()
+        while len(words) < n:
+            words.add(_word(rng, "abcdefghij", rng.randint(1, 12)))
+        return sorted(words)
+
+    ux, uy = vocab(2990), vocab(2983)
+    tracemalloc.start()
+    try:
+        table = assign._unique_pair_table(ux, uy)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (2990, 2983)
+    assert peak < 2 * table.nbytes
 
 
 def test_solver_is_scipys_linear_sum_assignment():

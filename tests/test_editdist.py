@@ -182,6 +182,22 @@ def test_myers_distance_matches_bruteforce_on_edge_strings():
         assert _myers_distance(b, a) == lev_bruteforce(a, b)
 
 
+def test_myers_distance_matches_bruteforce_at_digit_boundaries():
+    # CPython ints are stored in 30-bit digits: patterns of 29-31, 59-61 and
+    # 89-91 characters put the top bit and the carry out on either side of
+    # a digit edge
+    rng = random.Random(6)
+    for m in (29, 30, 31, 59, 60, 61, 89, 90, 91):
+        for _ in range(4):
+            a = "".join(rng.choice("abж") for _ in range(m))
+            b = "".join(rng.choice("abжq") for _ in range(rng.randint(m - 3, m + 40)))
+            assert _myers_distance(a, b) == lev_bruteforce(a, b)
+            assert _myers_distance(b, a) == lev_bruteforce(a, b)
+        # at equal lengths `a` stays the pattern, in the first order only
+        b = "".join(rng.choice("ab") for _ in range(m))
+        assert _myers_distance(a, b) == lev_bruteforce(a, b)
+
+
 def test_page_wer_by_lines_identity():
     page = tokenize_page("a b c\nd e\nf", "p")
     rate, counts = page_wer_by_lines(page, page)

@@ -9,7 +9,12 @@ from pageval.editdist import char_distance
 from pageval.report import aggregate, evaluate_page
 
 from conftest import EX3_X, EX3_Y, two_column_pages
-from oracles import bag_distance_counter, lev_bruteforce
+from oracles import (
+    alignment_cost_exact,
+    assignment_cost_bruteforce,
+    bag_distance_counter,
+    lev_bruteforce,
+)
 
 
 def page_of(words, page_id="p"):
@@ -151,3 +156,20 @@ def test_bwer_numerators_agree_with_counter_oracle():
             assert r.cer_errors == lev_bruteforce(joined, " ".join(y))
             assert r.hcer_errors == lev_bruteforce(joined, reordered)
             assert r.n_chars == len(joined)
+
+
+def test_lone_surrogates_are_scored_like_any_character():
+    # `PageTranscript` accepts a word holding a lone surrogate; every
+    # engine treats it as one code point
+    ref = PageTranscript((("ab", "\ud800x"), ("\udfff",)))
+    hyp = PageTranscript((("\ud800x", "a\ud800", "ab"),))
+    report = evaluate_page(ref, hyp, gamma=0.0)
+    x, y = ref.words, hyp.words
+    assert report.cer_errors == lev_bruteforce(" ".join(x), " ".join(y))
+    _, alignment = hwer(x, y, gamma=0.0)
+    assert report.hcer_errors == lev_bruteforce(
+        " ".join(x), " ".join(reorder_hypothesis(x, y, alignment))
+    )
+    assert alignment_cost_exact(x, y, alignment.pairs, 0) == assignment_cost_bruteforce(
+        x, y, 0
+    )
