@@ -75,12 +75,14 @@ class CostMatrix:
         return self.n_ref + self.n_hyp
 
 
-# Pairs per block of reference rows: the block's (v, u) read-out arrays are
-# then at most 16 MB, and its packed lane arrays smaller still.
-_PAIR_BLOCK_CELLS = 1 << 21
+# Pairs per block of reference rows: the block's (v, u) uint64 read-out
+# gather is then at most 2 MB, and its packed lane arrays smaller still.  A
+# larger block (9 MB at 2**21 pairs on a 2,000-word page) stays in the
+# process heap after it is freed and adds to the page's peak RSS.
+_PAIR_BLOCK_CELLS = 1 << 18
 _LANE_BITS = 64
-# Cells per row block of the real-pair block in `_assemble`: its gather and
-# regularizer temporaries are then 2 MB each, not n*m.
+# Cells per row block of the real-pair block in `_assemble`: its integer
+# gathers and tie-break mask are then at most 256K cells each, not n*m.
 _ASSEMBLE_BLOCK_CELLS = 1 << 18
 
 
@@ -163,14 +165,19 @@ def _unique_pair_table(ux: list[str], uy: list[str]) -> np.ndarray:
     Reference words that do not fit a lane (empty, or over 64 characters)
     fall back to the bigint engine one pair at a time.  Reference words are
     packed and read out in row blocks of at most `_PAIR_BLOCK_CELLS` pairs,
-    each written straight into the one result table.
+    each written straight into the one result table.  No distance exceeds
+    the longer word's length, so the table has the smallest unsigned dtype
+    that holds the longest word.
     """
     u, v = len(ux), len(uy)
-    table = np.empty((u, v), dtype=np.float64)
-    if u == 0 or v == 0:
-        return table
     la = np.fromiter((len(w) for w in ux), dtype=np.int64, count=u)
     lb = np.fromiter((len(w) for w in uy), dtype=np.int64, count=v)
+    longest = max(int(la.max(initial=0)), int(lb.max(initial=0)))
+    table = np.empty((u, v), dtype=np.min_scalar_type(longest))
+    if u == 0 or v == 0:
+        return table
+    # signed: a read-out adds a popcount difference (down to -64) to |b|
+    signed = np.promote_types(table.dtype, np.int8)
     packs = (la > 0) & (la <= _LANE_BITS)
 
     # character codes: 1.. for characters of the reference words, 0 (all
@@ -185,12 +192,16 @@ def _unique_pair_table(ux: list[str], uy: list[str]) -> np.ndarray:
     rank = np.empty(v, dtype=np.int64)
     rank[order] = np.arange(v)
     max_b = int(lb[order[0]])
-    # text[t, :k]: character t of the k hypothesis words still running
-    text = np.zeros((max_b, v), dtype=np.intp)
-    text[b_pos, rank[b_owner]] = np.where(hit, found + 1, 0)
+    # ragged and step-major, one slot per hypothesis character:
+    # text[at[t]:at[t + 1]] is character t of the hypothesis words still
+    # running at step t, in rank order
     running = v - np.cumsum(np.bincount(lb, minlength=max_b + 1))[:max_b]
+    at = np.concatenate(([0], np.cumsum(running)))
+    text = np.empty(b_flat.size, dtype=np.intp)
+    text[at[b_pos] + rank[b_owner]] = np.where(hit, found + 1, 0)
+    bounds = at.tolist()
     # the top cell of hypothesis word b's last column is |b|
-    top = lb[:, None].astype(np.float64)
+    top = lb[:, None].astype(signed)
 
     one = np.uint64(1)
     char_start = np.concatenate(([0], np.cumsum(la)))
@@ -216,10 +227,10 @@ def _unique_pair_table(ux: list[str], uy: list[str]) -> np.ndarray:
 
         vp = np.tile(keep, (v, 1))
         vn = np.zeros((v, low.size), dtype=np.uint64)
-        for t in range(max_b):
-            k = int(running[t])
+        for lo, hi in zip(bounds, bounds[1:]):
+            k = hi - lo
             vp_k, vn_k = vp[:k], vn[:k]
-            x = peq[text[t, :k]]
+            x = peq[text[lo:hi]]
             x |= vn_k
             d0 = x & vp_k
             d0 += vp_k
@@ -243,7 +254,7 @@ def _unique_pair_table(ux: list[str], uy: list[str]) -> np.ndarray:
         dist = np.subtract(
             _field_counts(vp, rows, lane, field),
             _field_counts(vn, rows, lane, field),
-            dtype=np.float64,
+            dtype=signed,
         )
         dist += top
         table[words] = dist.T
@@ -254,27 +265,21 @@ def _unique_pair_table(ux: list[str], uy: list[str]) -> np.ndarray:
 
 
 def _pair_table(
-    x: Sequence[str], y: Sequence[str], mismatch_bonus: float
+    x: Sequence[str], y: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Character edit distance for every unique (reference, hypothesis) word
     pair, plus each word's row or column in that table.
 
     Deduplicated through the vocabulary: corpora repeat words heavily, so
-    unique pairs are far fewer than |x|*|y|.  `mismatch_bonus` is added to
-    every unequal pair (the tie-break perturbation).
+    unique pairs are far fewer than |x|*|y|.
     """
     ux = sorted(set(x))
     uy = sorted(set(y))
     idx_x = {w: i for i, w in enumerate(ux)}
     idx_y = {w: i for i, w in enumerate(uy)}
-    table = _unique_pair_table(ux, uy)
-    if mismatch_bonus:
-        table += mismatch_bonus
-        for w in idx_x.keys() & idx_y.keys():
-            table[idx_x[w], idx_y[w]] -= mismatch_bonus
     rows = np.fromiter((idx_x[w] for w in x), dtype=np.intp, count=len(x))
     cols = np.fromiter((idx_y[w] for w in y), dtype=np.intp, count=len(y))
-    return table, rows, cols
+    return _unique_pair_table(ux, uy), rows, cols
 
 
 def _assemble(
@@ -286,27 +291,37 @@ def _assemble(
 ) -> np.ndarray:
     """The square cost matrix, written into one allocation.
 
-    The real-pair block is filled a row block at a time, so its only
-    temporaries are block-sized.  Each cell is (pair + bonus) + gamma*|j-k|/n
-    in exactly that operation order: the solver's choice among tied optima
-    depends on the last bit of every cell.
+    The real-pair block is filled a row block at a time from the integer
+    pair table, so besides the matrix only that table and block-sized
+    temporaries are held.  Each cell is
+    (pair + bonus) + gamma*|j-k|/n in exactly that operation order: the
+    solver's choice among tied optima depends on the last bit of every cell.
+    `mismatch_bonus` (the tie-break perturbation) goes to every pair with a
+    non-zero distance, that is to every pair of unequal words.
     """
     n, m = len(x), len(y)
     side = n + m
     values = np.zeros((side, side), dtype=np.float64)
     if m:
-        table, rows, cols = _pair_table(x, y, mismatch_bonus)
-        k = np.arange(m, dtype=np.float64)
+        table, rows, cols = _pair_table(x, y)
+        # gamma*|j-k|/n depends on |j-k| alone: reg[j, k] is
+        # mirror[d.size - 1 - j + k], so every row of reg is a window of one
+        # mirrored vector
+        d = np.arange(max(n, m), dtype=np.float64)
+        d *= gamma
+        d /= n
+        mirror = np.concatenate((d[:0:-1], d))
+        size = mirror.itemsize
+        reg = np.ndarray((n, m), np.float64, mirror, size * (d.size - 1), (-size, size))
         step = max(1, _ASSEMBLE_BLOCK_CELLS // m)
         for start in range(0, n, step):
             stop = min(start + step, n)
             block = values[start:stop, :m]
-            np.take(table[rows[start:stop]], cols, axis=1, out=block)
-            reg = np.subtract.outer(np.arange(start, stop, dtype=np.float64), k)
-            np.abs(reg, out=reg)
-            reg *= gamma
-            reg /= n
-            block += reg
+            dist = table[rows[start:stop]][:, cols]
+            block[...] = dist
+            if mismatch_bonus:
+                np.add(block, mismatch_bonus, out=block, where=dist > 0)
+            block += reg[start:stop]
     # dummy partners: half the word length, displacement term fixed at 1
     x_len = np.fromiter((len(w) for w in x), dtype=np.float64, count=n)
     values[:n, m:] = (x_len / 2 + gamma / n + dummy_bonus)[:, None]

@@ -28,7 +28,12 @@ from conftest import (
     alignment_of,
     random_word,
 )
-from oracles import alignment_cost_exact, assignment_cost_bruteforce, lev_bruteforce
+from oracles import (
+    alignment_cost_exact,
+    assignment_cost_bruteforce,
+    edit_trace_reference,
+    lev_bruteforce,
+)
 
 
 def test_cost_matrix_cells():
@@ -101,6 +106,12 @@ def _pair_table_cases():
         pytest.param(["ab", "\ud800x", "\udfff", "a\udc80\ud800"],
                      ["\ud800", "x\ud800", "ab", "\udc80\ud800b", ""],
                      id="lone-surrogates"),
+        # dtype edge: 255 still fits uint8, 256 takes uint16; the empty and
+        # disjoint words are exactly the longest word's length away
+        pytest.param(["", "a", "ab", _word(rng, "ab", 255)],
+                     ["", "b", _word(rng, "ab", 250), "x" * 255], id="uint8-255"),
+        pytest.param(["", "a", _word(rng, "ab", 255), _word(rng, "ab", 256)],
+                     ["", "ba", _word(rng, "ab", 255), "x" * 256], id="uint16-256"),
     ]
 
 
@@ -108,7 +119,7 @@ def _pair_table_cases():
 def test_unique_pair_table_matches_bruteforce(ux, uy):
     got = assign._unique_pair_table(ux, uy)
     want = [[lev_bruteforce(a, b) for b in uy] for a in ux]
-    assert got.dtype == np.float64
+    assert got.dtype == np.min_scalar_type(max(map(len, ux + uy)))
     assert got.tolist() == want
 
 
@@ -183,6 +194,49 @@ def test_unique_pair_table_memory_is_bounded_by_row_blocks():
     assert peak < 2 * table.nbytes
 
 
+def _traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_unique_pair_table_memory_is_not_sized_by_longest_hypothesis_word():
+    # one 2,000-character token among some 700 short hypothesis words: the
+    # kernel's text costs one slot per hypothesis character, so the token
+    # adds kilobytes, not 2,000 slots per hypothesis word (~12 MB)
+    rng = random.Random(79)
+    ux = _vocab(rng, "abcdefghij", [rng.randint(1, 12) for _ in range(260)])
+    uy = _vocab(rng, "abcdefghij", [rng.randint(1, 12) for _ in range(800)])
+    token = _word(rng, "abcdefghij", 2000)
+    _, short_peak = _traced_peak(assign._unique_pair_table, ux, uy)
+    table, peak = _traced_peak(assign._unique_pair_table, ux, uy + [token])
+    assert peak < short_peak + (1 << 20)
+    # every hypothesis column, checked on a sample of reference rows; the
+    # token's column against the textbook DP (lev_bruteforce's recursion is
+    # as deep as the two words are long)
+    for i in sorted(rng.sample(range(len(ux)), 12)):
+        a = ux[i]
+        assert table[i, :-1].tolist() == [lev_bruteforce(a, b) for b in uy]
+        assert table[i, -1] == edit_trace_reference(a, token)[0]
+
+
+def test_unique_pair_table_exact_past_uint16():
+    # a 70,000-character reference word takes the bigint fallback, and its
+    # distances pass 65,535
+    rng = random.Random(89)
+    ux = ["ab", _word(rng, "abc", 70_000)]
+    uy = ["", "c", "abc", "xyz", _word(rng, "abcx", 5)]
+    table = assign._unique_pair_table(ux, uy)
+    assert table.dtype == np.uint32
+    want = [[edit_trace_reference(a, b)[0] for b in uy] for a in ux]
+    assert min(want[1]) > 65_535
+    assert table.tolist() == want
+
+
 def test_solver_is_scipys_linear_sum_assignment():
     import scipy.optimize
 
@@ -216,11 +270,12 @@ def _assemble_elementwise(x, y, gamma, mismatch_bonus, dummy_bonus):
 @pytest.mark.parametrize("gamma", [0.0, 1e-4, 0.3, 1.0, 5.0])
 def test_assemble_bitwise_equals_elementwise(monkeypatch, gamma):
     # row blocks of 7 cells: every page below spans several blocks, and a
-    # block may be a single row
+    # block may be a single row; lopsided shapes read the regularizer from
+    # either end of its mirrored vector
     monkeypatch.setattr(assign, "_ASSEMBLE_BLOCK_CELLS", 7)
     rng = random.Random(int(gamma * 1e4) + 3)
     vocab = _vocab(rng, "abé", [0, 1, 2, 3, 5, 8, 66])
-    for n, m in ((13, 5), (6, 11), (9, 9), (4, 0), (1, 3)):
+    for n, m in ((13, 5), (6, 11), (9, 9), (4, 0), (1, 3), (1, 40), (40, 1), (2, 2)):
         x = [rng.choice(vocab) for _ in range(n)]
         y = [rng.choice(vocab) for _ in range(m)]
         eps = 1e-8 / (n + m)
@@ -255,12 +310,14 @@ def test_solver_matches_bruteforce_enumeration():
         assert got == want, (x, y, gamma)
 
 
-def _noisy_zipf_page_pair(seed: int, n: int) -> tuple[list[str], list[str]]:
-    """A reference of n words over a ~60-word Zipf vocabulary and a noisy,
-    partly reordered hypothesis (substitutions, deletions, insertions and
-    swapped 10-word blocks)."""
+def _noisy_zipf_page_pair(
+    seed: int, n: int, vocab_size: int = 60
+) -> tuple[list[str], list[str]]:
+    """A reference of n words over a Zipf vocabulary of up to `vocab_size`
+    words and a noisy, partly reordered hypothesis (substitutions,
+    deletions, insertions and swapped 10-word blocks)."""
     rng = random.Random(seed)
-    vocab = list({random_word(rng, 1, 7) for _ in range(60)})
+    vocab = list({random_word(rng, 1, 7) for _ in range(vocab_size)})
     weights = [1 / (r + 1) for r in range(len(vocab))]
     x = rng.choices(vocab, weights, k=n)
     y = []
@@ -357,6 +414,17 @@ def _assert_exact_lexicographic_optimum(x: list[str], y: list[str]) -> None:
     b = abs(n - m)
     assert (got_cost, got_key) == (best_cost, best_key)
     assert round(rate * n) == (best_key + b) // 2 == hwer_errors(x, y, alignment)
+
+
+def test_assemble_memory_is_the_square_matrix():
+    # a ~1,000 x 1,000-word page with some 400 unique words a side: beyond
+    # the matrix, only one row block's read-out (a 2 MB uint64 gather and
+    # its small counts) may be held at a time
+    x, y = _noisy_zipf_page_pair(seed=37, n=1000, vocab_size=2000)
+    eps = 1e-8 / (len(x) + len(y))
+    values, peak = _traced_peak(assign._assemble, x, y, 1.0, eps, eps / 2)
+    assert values.shape == (len(x) + len(y),) * 2
+    assert peak < values.nbytes + (4 << 20)
 
 
 def test_hwer_tie_break_is_exactly_lexicographic_at_scale():
