@@ -23,12 +23,14 @@ mismatch count (hence the smallest hWER) of the optimal family.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import importlib.machinery
 import importlib.util
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,8 +77,9 @@ class CostMatrix:
         return self.n_ref + self.n_hyp
 
 
-# Pairs per block of reference rows: the block's (v, u) uint64 read-out
-# gather is then at most 2 MB, and its packed lane arrays smaller still.  A
+# Packed reference words per read-out of the pair kernel: the read-out's
+# (v, words) uint64 gather is then at most 2 MB, and a block of whole lanes
+# holding at most that many words keeps the lane arrays smaller still.  A
 # larger block (9 MB at 2**21 pairs on a 2,000-word page) stays in the
 # process heap after it is freed and adds to the page's peak RSS.
 _PAIR_BLOCK_CELLS = 1 << 18
@@ -84,6 +87,12 @@ _LANE_BITS = 64
 # Cells per row block of the real-pair block in `_assemble`: its integer
 # gathers and tie-break mask are then at most 256K cells each, not n*m.
 _ASSEMBLE_BLOCK_CELLS = 1 << 18
+# Reference word sequences whose kernel side `_reference_side` keeps.  A
+# sweep scores each reference once per step.  An entry holds some 33 KB for
+# a 300-word page and 70 KB for a 2,000-word page of the bench's Zipf
+# vocabulary; its match masks are (alphabet + 1) x lanes uint64, so a
+# page with thousands of distinct characters holds more.
+_LANE_MEMO_ENTRIES = 64
 
 
 def _codepoints(words: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -135,6 +144,66 @@ def _pack_lanes(lens: list[int]) -> tuple[np.ndarray, ...]:
     )
 
 
+class _Reference(NamedTuple):
+    """The pair kernel's reference side for one reference word sequence:
+    everything that does not depend on the hypothesis.  Arrays are
+    read-only, because one entry serves every call that scores the same
+    reference."""
+
+    words: tuple[str, ...]  # unique words, sorted: the pair table's rows
+    rows: np.ndarray  # each reference word's row
+    lens: np.ndarray  # each row's word length
+    loose: tuple[int, ...]  # rows of words that do not fit a lane
+    alphabet: np.ndarray  # sorted code points of the packed words
+    packed: np.ndarray  # rows of the packed words, in lane order
+    lane: np.ndarray  # per packed word: its lane
+    field: np.ndarray  # per packed word: its bit field
+    low: np.ndarray  # per lane: every field's bottom bit
+    keep: np.ndarray  # per lane: the union of its fields
+    starts: tuple[int, ...]  # index in `packed` of each lane's first word, and the end
+    peq: np.ndarray  # [code, lane]: the bits of code point alphabet[code - 1]
+
+
+@functools.lru_cache(maxsize=_LANE_MEMO_ENTRIES)
+def _reference_side(x: tuple[str, ...]) -> _Reference:
+    """The memoized `_Reference` of reference words `x` (page order, with
+    repeats), at most `_LANE_MEMO_ENTRIES` of them."""
+    ux = sorted(set(x))
+    index = {w: i for i, w in enumerate(ux)}
+    rows = np.fromiter((index[w] for w in x), dtype=np.intp, count=len(x))
+    lens = np.fromiter((len(w) for w in ux), dtype=np.int64, count=len(ux))
+    fits = (lens > 0) & (lens <= _LANE_BITS)
+    packed = np.flatnonzero(fits)
+    lane, offset, field, low, keep = _pack_lanes(lens[packed].tolist())
+    # each character of a packed word: its word's index in `packed`, and
+    # its code, 1.. (0 is the code of characters the reference lacks)
+    flat, owner, pos = _codepoints([ux[i] for i in packed.tolist()])
+    alphabet, code = np.unique(flat, return_inverse=True)
+    peq = np.zeros((alphabet.size + 1, low.size), dtype=np.uint64)
+    np.bitwise_or.at(
+        peq,
+        (code + 1, lane[owner]),
+        np.uint64(1) << (offset[owner] + pos.astype(np.uint64)),
+    )
+    arrays = (rows, lens, alphabet, packed, lane, field, low, keep, peq)
+    for a in arrays:
+        a.flags.writeable = False
+    return _Reference(
+        words=tuple(ux),
+        rows=rows,
+        lens=lens,
+        loose=tuple(np.flatnonzero(~fits).tolist()),
+        alphabet=alphabet,
+        packed=packed,
+        lane=lane,
+        field=field,
+        low=low,
+        keep=keep,
+        starts=tuple(np.searchsorted(lane, np.arange(low.size + 1)).tolist()),
+        peq=peq,
+    )
+
+
 def _field_counts(
     bits: np.ndarray, rows: np.ndarray, lane: np.ndarray, field: np.ndarray
 ) -> np.ndarray:
@@ -145,11 +214,11 @@ def _field_counts(
     return np.bitwise_count(cells)
 
 
-def _unique_pair_table(ux: list[str], uy: list[str]) -> np.ndarray:
-    """Levenshtein distance for every unique word pair, as one batched
-    bit-parallel kernel (Myers 1999, in Hyyro's edit-distance form), with
-    several reference words packed into each uint64 lane (Hyyro, Fredriksson
-    & Navarro 2005).
+def _unique_pair_table(ref: _Reference, uy: list[str]) -> np.ndarray:
+    """Levenshtein distance from every unique reference word (`ref.words`)
+    to every hypothesis word in `uy`, as one batched bit-parallel kernel
+    (Myers 1999, in Hyyro's edit-distance form), with several reference
+    words packed into each uint64 lane (Hyyro, Fredriksson & Navarro 2005).
 
     Each lane holds reference words as bit-vector patterns, one bit field
     per word (`_pack_lanes`); the hypothesis word is the text scanned one
@@ -162,28 +231,28 @@ def _unique_pair_table(ux: list[str], uy: list[str]) -> np.ndarray:
     hypothesis word b is done, each distance is read off the last column:
     |b| + popcount(vp & field) - popcount(vn & field).
 
-    Reference words that do not fit a lane (empty, or over 64 characters)
-    fall back to the bigint engine one pair at a time.  Reference words are
-    packed and read out in row blocks of at most `_PAIR_BLOCK_CELLS` pairs,
-    each written straight into the one result table.  No distance exceeds
-    the longer word's length, so the table has the smallest unsigned dtype
-    that holds the longest word.
+    The lane layout and the per-lane match masks come with `ref`, built
+    once per reference (`_reference_side`); a call adds only the hypothesis
+    side.  Lanes run in blocks of whole lanes holding at most
+    `_PAIR_BLOCK_CELLS // |uy|` packed words (at least one lane), and each
+    block is read out that many words at a time, straight into the one
+    result table.  Reference words that do not fit a lane (empty, or over
+    64 characters) fall back to the bigint engine one pair at a time, as
+    its pattern.  No distance exceeds the longer word's length, so the
+    table has the smallest unsigned dtype that holds the longest word.
     """
-    u, v = len(ux), len(uy)
-    la = np.fromiter((len(w) for w in ux), dtype=np.int64, count=u)
+    u, v = len(ref.words), len(uy)
     lb = np.fromiter((len(w) for w in uy), dtype=np.int64, count=v)
-    longest = max(int(la.max(initial=0)), int(lb.max(initial=0)))
+    longest = max(int(ref.lens.max(initial=0)), int(lb.max(initial=0)))
     table = np.empty((u, v), dtype=np.min_scalar_type(longest))
     if u == 0 or v == 0:
         return table
     # signed: a read-out adds a popcount difference (down to -64) to |b|
     signed = np.promote_types(table.dtype, np.int8)
-    packs = (la > 0) & (la <= _LANE_BITS)
 
     # character codes: 1.. for characters of the reference words, 0 (all
     # masks zero) for characters seen only in the hypothesis
-    a_flat, a_owner, a_pos = _codepoints(ux)
-    alphabet, a_code = np.unique(a_flat, return_inverse=True)
+    alphabet = ref.alphabet
     b_flat, b_owner, b_pos = _codepoints(uy)
     found = np.searchsorted(alphabet, b_flat)
     hit = found < alphabet.size
@@ -202,31 +271,18 @@ def _unique_pair_table(ux: list[str], uy: list[str]) -> np.ndarray:
     bounds = at.tolist()
     # the top cell of hypothesis word b's last column is |b|
     top = lb[:, None].astype(signed)
+    rows = rank[:, None]
 
     one = np.uint64(1)
-    char_start = np.concatenate(([0], np.cumsum(la)))
-    step = max(1, _PAIR_BLOCK_CELLS // v)
-    for start in range(0, u, step):
-        stop = min(start + step, u)
-        words = start + np.flatnonzero(packs[start:stop])
-        if not words.size:
-            continue
-        lane, offset, field, low, keep = _pack_lanes(la[words].tolist())
-        # peq[c, lane]: the bits of character c in every field of the lane
-        chars = slice(char_start[start], char_start[stop])
-        owner = a_owner[chars]
-        fits = packs[owner]
-        # each packed word's index in `words`
-        owner = (np.cumsum(packs[start:stop]) - 1)[owner[fits] - start]
-        peq = np.zeros((alphabet.size + 1, low.size), dtype=np.uint64)
-        np.bitwise_or.at(
-            peq,
-            (a_code[chars][fits] + 1, lane[owner]),
-            one << (offset[owner] + a_pos[chars][fits].astype(np.uint64)),
-        )
-
+    per_block = max(1, _PAIR_BLOCK_CELLS // v)
+    starts = ref.starts
+    first = 0
+    while ref.packed.size and first < ref.low.size:
+        last = max(first + 1, bisect.bisect_right(starts, starts[first] + per_block) - 1)
+        low, keep = ref.low[first:last], ref.keep[first:last]
+        peq = ref.peq[:, first:last]
         vp = np.tile(keep, (v, 1))
-        vn = np.zeros((v, low.size), dtype=np.uint64)
+        vn = np.zeros_like(vp)
         for lo, hi in zip(bounds, bounds[1:]):
             k = hi - lo
             vp_k, vn_k = vp[:k], vn[:k]
@@ -249,37 +305,37 @@ def _unique_pair_table(ux: list[str], uy: list[str]) -> np.ndarray:
             vp_k &= keep
             np.bitwise_and(d0, hp, out=vn_k)
 
-        # (hypothesis, reference) read-out, hypothesis words in input order
-        rows = rank[:, None]
-        dist = np.subtract(
-            _field_counts(vp, rows, lane, field),
-            _field_counts(vn, rows, lane, field),
-            dtype=signed,
-        )
-        dist += top
-        table[words] = dist.T
+        # (hypothesis, reference) read-outs, hypothesis words in input order
+        for w in range(starts[first], starts[last], per_block):
+            words = slice(w, min(w + per_block, starts[last]))
+            lane, field = ref.lane[words] - first, ref.field[words]
+            dist = np.subtract(
+                _field_counts(vp, rows, lane, field),
+                _field_counts(vn, rows, lane, field),
+                dtype=signed,
+            )
+            dist += top
+            table[ref.packed[words]] = dist.T
+        first = last
 
-    for i in np.flatnonzero(~packs).tolist():
-        table[i] = [_myers_distance(ux[i], w) for w in uy]
+    for i in ref.loose:
+        a = ref.words[i]
+        table[i] = [_myers_distance(a, w) for w in uy]
     return table
 
 
-def _pair_table(
-    x: Sequence[str], y: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pair_table(ref: _Reference, y: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """Character edit distance for every unique (reference, hypothesis) word
-    pair, plus each word's row or column in that table.
+    pair, plus each hypothesis word's column in that table (`ref.rows` are
+    the reference words' rows).
 
     Deduplicated through the vocabulary: corpora repeat words heavily, so
     unique pairs are far fewer than |x|*|y|.
     """
-    ux = sorted(set(x))
     uy = sorted(set(y))
-    idx_x = {w: i for i, w in enumerate(ux)}
     idx_y = {w: i for i, w in enumerate(uy)}
-    rows = np.fromiter((idx_x[w] for w in x), dtype=np.intp, count=len(x))
     cols = np.fromiter((idx_y[w] for w in y), dtype=np.intp, count=len(y))
-    return _unique_pair_table(ux, uy), rows, cols
+    return _unique_pair_table(ref, uy), cols
 
 
 def _assemble(
@@ -301,9 +357,11 @@ def _assemble(
     """
     n, m = len(x), len(y)
     side = n + m
+    ref = _reference_side(tuple(x))
     values = np.zeros((side, side), dtype=np.float64)
     if m:
-        table, rows, cols = _pair_table(x, y)
+        table, cols = _pair_table(ref, y)
+        rows = ref.rows
         # gamma*|j-k|/n depends on |j-k| alone: reg[j, k] is
         # mirror[d.size - 1 - j + k], so every row of reg is a window of one
         # mirrored vector
@@ -323,7 +381,7 @@ def _assemble(
                 np.add(block, mismatch_bonus, out=block, where=dist > 0)
             block += reg[start:stop]
     # dummy partners: half the word length, displacement term fixed at 1
-    x_len = np.fromiter((len(w) for w in x), dtype=np.float64, count=n)
+    x_len = ref.lens[ref.rows]
     values[:n, m:] = (x_len / 2 + gamma / n + dummy_bonus)[:, None]
     if m:
         y_len = np.fromiter((len(w) for w in y), dtype=np.float64, count=m)

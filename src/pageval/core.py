@@ -38,6 +38,13 @@ def _check_token(tok: str) -> str:
     return tok
 
 
+def _check_line(line: Iterable[str]) -> tuple[str, ...]:
+    # iterating a string would split it into one-letter words
+    if isinstance(line, str):
+        raise StructureError(f"a line must be a sequence of words, got the string {line!r}")
+    return tuple(_check_token(w) for w in line)
+
+
 @dataclass(frozen=True)
 class PageTranscript:
     """Ordered text lines of one page, each line an ordered tuple of words.
@@ -49,7 +56,7 @@ class PageTranscript:
     page_id: str = ""
 
     def __post_init__(self) -> None:
-        lines = tuple(tuple(_check_token(w) for w in line) for line in self.lines)
+        lines = tuple(_check_line(line) for line in self.lines)
         object.__setattr__(self, "lines", lines)
 
     @property
@@ -82,6 +89,8 @@ def tokenize_page(raw: str | bytes, page_id: str = "") -> PageTranscript:
 
     Each physical input line is split on runs of Unicode whitespace; empty
     lines are kept as empty token tuples.  Bytes input must be valid UTF-8.
+    A leading byte-order mark is dropped; a decoding error reports its
+    offset in the input, BOM included.
     """
     if isinstance(raw, bytes):
         try:
@@ -90,6 +99,7 @@ def tokenize_page(raw: str | bytes, page_id: str = "") -> PageTranscript:
             raise IngestionError(
                 f"page {page_id!r}: invalid UTF-8 at byte offset {exc.start}"
             ) from exc
+    raw = raw.removeprefix("\ufeff")
     lines = tuple(tuple(line.split()) for line in raw.splitlines())
     return PageTranscript(lines=lines, page_id=page_id)
 

@@ -10,15 +10,26 @@ Three engines compute edit distances:
 - `edit_distance`: a plain-Python full-table DP with backtrace, for word
   sequences;
 - `_myers_distance`: a bigint bit-parallel (Myers) distance, distance only,
-  read off the last column; `char_distance` runs it on page-sized strings;
+  read off the last column; `char_distance` runs it on page-sized strings
+  with the joined reference as the pattern;
 - `assign._unique_pair_table`: a batched bit-parallel kernel over uint64
   lanes, each packing several reference words, for the assignment pair
-  costs; it falls back to `_myers_distance` for words too long for a lane.
+  costs, run over blocks of whole lanes; it falls back to `_myers_distance`
+  for reference words too long for a lane, with the long word as pattern.
+
+Both bit-parallel engines build a reference's side once and reuse it while
+it is among the last 64 references scored: the pattern's match masks
+(`_match_masks`) and the kernel's lane layout and per-lane masks
+(`assign._reference_side`), each memoized in a bounded
+`functools.lru_cache`.  A page's CER and hCER share one pattern, and a
+sweep scores each reference at every step.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import functools
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .core import (
     EditCounts,
@@ -91,15 +102,34 @@ def edit_distance(
     return dist[n][m], counts, Trace(tuple(pairs))
 
 
+# Patterns whose match masks `_myers_distance` keeps.  A page's reference
+# is the pattern of its CER and of its hCER, and a sweep scores each
+# reference once per step, so a small bound serves every reuse in one call.
+_MASK_MEMO_ENTRIES = 64
+
+
+@functools.lru_cache(maxsize=_MASK_MEMO_ENTRIES)
+def _match_masks(a: str) -> Mapping[str, int]:
+    """Read-only bit mask of each character's positions in pattern `a`."""
+    peq: dict[str, int] = {}
+    for i, c in enumerate(a):
+        peq[c] = peq.get(c, 0) | (1 << i)
+    return MappingProxyType(peq)
+
+
 def _myers_distance(a: str, b: str) -> int:
     """Bit-parallel Levenshtein distance (Myers/Hyyro), O(n*m/wordsize).
 
     Distance only, no counts; Python integers serve as unbounded bit
-    vectors so any pattern length works.  The distance is read once off
-    the last column's vertical deltas, |b| + #vp - #vn, not kept as a
-    running score.  Used for page-sized strings where the counting DP would
-    be needlessly slow, and by the assignment pair table for words too long
-    for its 64-bit lanes.
+    vectors so any pattern length works.  `a` is always the pattern and `b`
+    the text scanned one character per step (the distance is symmetric):
+    callers pass the reference side as `a`, because its match masks are
+    memoized by pattern (`_match_masks`, at most `_MASK_MEMO_ENTRIES`
+    patterns), so a reference scored again reuses them.  The distance is
+    read once off the last column's vertical deltas, |b| + #vp - #vn, not
+    kept as a running score.  Used for page-sized strings where the
+    counting DP would be needlessly slow, and by the assignment pair table
+    for reference words too long for its 64-bit lanes.
     """
     if a == b:
         return 0
@@ -107,18 +137,14 @@ def _myers_distance(a: str, b: str) -> int:
         return len(b)
     if not b:
         return len(a)
-    if len(a) > len(b):
-        a, b = b, a
     full = (1 << len(a)) - 1
-    peq: dict[str, int] = {}
-    for i, c in enumerate(a):
-        peq[c] = peq.get(c, 0) | (1 << i)
+    peq = _match_masks(a).get
     # `full ^ v` is `~v & full` for v within `full`: every int stays
     # non-negative and at most len(a) + 1 bits
     vp = full
     vn = 0
     for c in b:
-        x = peq.get(c, 0) | vn
+        x = peq(c, 0) | vn
         d0 = ((((x & vp) + vp) ^ vp) | x) & full
         hp = vn | (full ^ (d0 | vp))
         hn = d0 & vp
@@ -134,7 +160,9 @@ def char_distance(x: Sequence[str], y: Sequence[str]) -> int:
     only.
 
     Each sequence is joined with single spaces first, so the separator
-    spaces count as characters on both sides.
+    spaces count as characters on both sides.  The joined `x` is the
+    pattern, so a reference scored again (CER then hCER, or the next sweep
+    step) reuses its match masks.
     """
     return _myers_distance(join_words(x), join_words(y))
 

@@ -73,6 +73,14 @@ def _word(rng: random.Random, alphabet: str, n: int) -> str:
     return "".join(rng.choice(alphabet) for _ in range(n))
 
 
+def _pair_costs(ux, uy):
+    """Distance of every (ux, uy) pair, in input order, through the
+    memoized reference side and the pair kernel."""
+    ref = assign._reference_side(tuple(ux))
+    table, cols = assign._pair_table(ref, uy)
+    return table[ref.rows][:, cols]
+
+
 def _pair_table_cases():
     rng = random.Random(61)
     short = [rng.randint(1, 7) for _ in range(14)]
@@ -117,7 +125,7 @@ def _pair_table_cases():
 
 @pytest.mark.parametrize("ux,uy", _pair_table_cases())
 def test_unique_pair_table_matches_bruteforce(ux, uy):
-    got = assign._unique_pair_table(ux, uy)
+    got = _pair_costs(ux, uy)
     want = [[lev_bruteforce(a, b) for b in uy] for a in ux]
     assert got.dtype == np.min_scalar_type(max(map(len, ux + uy)))
     assert got.tolist() == want
@@ -158,7 +166,7 @@ def test_unique_pair_table_fuzz_matches_bruteforce():
         ux = sorted({_word(rng, alphabet, length()) for _ in range(rng.randint(1, 12))})
         uy = sorted({_word(rng, alphabet + "z", length()) for _ in range(rng.randint(1, 6))})
         rng.shuffle(ux)
-        got = assign._unique_pair_table(ux, uy)
+        got = _pair_costs(ux, uy)
         assert got.tolist() == [[lev_bruteforce(a, b) for b in uy] for a in ux], (ux, uy)
 
 
@@ -167,7 +175,11 @@ def test_unique_pair_table_row_blocks(monkeypatch):
     ux = _vocab(rng, "abc", [rng.randint(1, 9) for _ in range(11)] + [70])
     uy = _vocab(rng, "abcx", [rng.randint(1, 9) for _ in range(5)])
     monkeypatch.setattr(assign, "_PAIR_BLOCK_CELLS", 3 * len(uy))
-    got = assign._unique_pair_table(ux, uy)
+    # read-outs of 3 words: the short words fill more than one lane, so
+    # the kernel runs several lane blocks, each of them read out in parts
+    ref = assign._reference_side(tuple(ux))
+    assert len(ref.starts) > 2 and ref.starts[1] > 3
+    got = _pair_costs(ux, uy)
     assert got.tolist() == [[lev_bruteforce(a, b) for b in uy] for a in ux]
 
 
@@ -186,7 +198,7 @@ def test_unique_pair_table_memory_is_bounded_by_row_blocks():
     ux, uy = vocab(2990), vocab(2983)
     tracemalloc.start()
     try:
-        table = assign._unique_pair_table(ux, uy)
+        table = assign._pair_table(assign._reference_side(tuple(ux)), uy)[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -212,8 +224,9 @@ def test_unique_pair_table_memory_is_not_sized_by_longest_hypothesis_word():
     ux = _vocab(rng, "abcdefghij", [rng.randint(1, 12) for _ in range(260)])
     uy = _vocab(rng, "abcdefghij", [rng.randint(1, 12) for _ in range(800)])
     token = _word(rng, "abcdefghij", 2000)
-    _, short_peak = _traced_peak(assign._unique_pair_table, ux, uy)
-    table, peak = _traced_peak(assign._unique_pair_table, ux, uy + [token])
+    ref = assign._reference_side(tuple(ux))
+    _, short_peak = _traced_peak(assign._unique_pair_table, ref, uy)
+    table, peak = _traced_peak(assign._unique_pair_table, ref, uy + [token])
     assert peak < short_peak + (1 << 20)
     # every hypothesis column, checked on a sample of reference rows; the
     # token's column against the textbook DP (lev_bruteforce's recursion is
@@ -230,7 +243,7 @@ def test_unique_pair_table_exact_past_uint16():
     rng = random.Random(89)
     ux = ["ab", _word(rng, "abc", 70_000)]
     uy = ["", "c", "abc", "xyz", _word(rng, "abcx", 5)]
-    table = assign._unique_pair_table(ux, uy)
+    table = _pair_costs(ux, uy)
     assert table.dtype == np.uint32
     want = [[edit_trace_reference(a, b)[0] for b in uy] for a in ux]
     assert min(want[1]) > 65_535

@@ -93,6 +93,29 @@ def test_eval_reports_bad_pages(tmp_path, capsys):
     assert payload["corpus"]["n_pages"] == 1
 
 
+def test_eval_bom_pages_score_as_plain_pages(tmp_path):
+    pages = {"a.txt": "To be or not\nto be, that\n", "b.txt": "is the question\n"}
+    hyps = {"a.txt": "To be or nut\nthat to be,\n", "b.txt": "the question is\n"}
+    metrics = {}
+    for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        for side, texts in (("ref", pages), ("hyp", hyps)):
+            root = tmp_path / name / side
+            root.mkdir(parents=True)
+            for page, text in texts.items():
+                (root / page).write_bytes(bom + text.encode("utf-8"))
+        out = tmp_path / name / "report.json"
+        root = tmp_path / name
+        argv = ["eval", "--ref", str(root / "ref"), "--hyp", str(root / "hyp"),
+                "--per-page", "--out", str(out)]
+        assert main(argv) == 0
+        payload = json.loads(out.read_text())
+        metrics[name] = [payload["corpus"]["metrics"]] + [
+            (p["page_id"], p["metrics"]) for p in payload["pages"]
+        ]
+    assert metrics["bom"] == metrics["plain"]
+    assert metrics["plain"][0]["WER"] > 0
+
+
 @pytest.mark.parametrize("fmt", ["json", "tsv"])
 def test_eval_report_written_when_no_page_scores(tmp_path, capsys, fmt):
     ref = write_corpus(tmp_path / "ref", {"blank.txt": "\n"})

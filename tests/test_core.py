@@ -39,6 +39,23 @@ def test_tokenize_rejects_invalid_utf8_with_offset():
         tokenize_page(b"abc\xff\xfe", page_id="p")
 
 
+def test_tokenize_drops_a_leading_bom():
+    text = "To be or not to be"
+    bom = b"\xef\xbb\xbf"
+    plain = tokenize_page(text.encode("utf-8"), page_id="p")
+    assert tokenize_page(bom + text.encode("utf-8"), page_id="p") == plain
+    assert tokenize_page("\ufeff" + text, page_id="p") == plain
+    assert plain.words[0] == "To"
+    # only a leading mark is a BOM; one inside a word stays text
+    assert tokenize_page("a\ufeffb").words == ("a\ufeffb",)
+
+
+def test_tokenize_reports_file_offsets_after_a_bom():
+    # the bad byte is byte 6 of the input, BOM included
+    with pytest.raises(IngestionError, match="byte offset 6"):
+        tokenize_page(b"\xef\xbb\xbfabc\xff", page_id="p")
+
+
 def test_tokenize_accepts_utf8_bytes():
     page = tokenize_page("café naïve".encode("utf-8"))
     assert page.lines == (("café", "naïve"),)
@@ -49,6 +66,15 @@ def test_flatten_concatenates_lines():
     page = PageTranscript((("a", "b"), ("c",)))
     assert page.words == ("a", "b", "c")
     assert PageTranscript(()).words == ()
+
+
+def test_string_line_is_rejected():
+    # a line given as a string would otherwise become one-letter words
+    with pytest.raises(StructureError, match="sequence of words"):
+        PageTranscript(("abc", ("d",)))
+    with pytest.raises(StructureError, match="sequence of words"):
+        PageTranscript("ab")
+    assert PageTranscript((["abc"], ("d",))).words == ("abc", "d")
 
 
 def test_flatten_ex1_reference():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -19,6 +20,25 @@ from oracles import (
 
 def page_of(words, page_id="p"):
     return PageTranscript((tuple(words),), page_id)
+
+
+def _scores(report):
+    return dataclasses.replace(report, timings={})
+
+
+def test_bom_page_reports_equal_plain_page():
+    ref = "To be or not to be,\nthat is the question"
+    hyp = "to be or nut\nthat is the question to be"
+    bom = b"\xef\xbb\xbf"
+    plain = evaluate_page(
+        tokenize_page(ref.encode("utf-8"), "p"), tokenize_page(hyp.encode("utf-8"), "p")
+    )
+    marked = evaluate_page(
+        tokenize_page(bom + ref.encode("utf-8"), "p"),
+        tokenize_page(bom + hyp.encode("utf-8"), "p"),
+    )
+    assert _scores(marked) == _scores(plain)
+    assert plain.n_words == 10 and plain.wer_errors > 0
 
 
 def test_identity_page_all_zeros():
