@@ -33,7 +33,8 @@ class StructureError(EvalError):
 def _check_token(tok: str) -> str:
     if not isinstance(tok, str) or not tok:
         raise StructureError(f"word tokens must be non-empty strings, got {tok!r}")
-    if any(c.isspace() for c in tok):
+    # str.split() breaks at exactly the characters str.isspace() accepts
+    if tok.split() != [tok]:
         raise StructureError(f"word token contains whitespace: {tok!r}")
     return tok
 

@@ -22,7 +22,12 @@ it is among the last 64 references scored: the pattern's match masks
 (`_match_masks`) and the kernel's lane layout and per-lane masks
 (`assign._reference_side`), each memoized in a bounded
 `functools.lru_cache`.  A page's CER and hCER share one pattern, and a
-sweep scores each reference at every step.
+sweep scores each reference at every step.  The bigint engine also keeps
+its last scan (`_last_scan`): one pattern and text, the distance and up to
+`_MARKS` resumable column states.  hCER's text is the hypothesis
+reordered along the hWER alignment, which is the hypothesis itself when the
+reading order is right, so hCER returns CER's distance or resumes CER's
+scan where the two texts part.
 """
 
 from __future__ import annotations
@@ -117,6 +122,17 @@ def _match_masks(a: str) -> Mapping[str, int]:
     return MappingProxyType(peq)
 
 
+# Text characters scanned between two maskings of the column state, and
+# the most resume states the scan slot keeps for one text.
+_CHUNK = 64
+_MARKS = 16
+
+# The last scan: (pattern, text, distance, resume states), each state a
+# (text position, vp, vn) after a whole number of chunks, in text order.
+# Replaced as one tuple, never changed in place.
+_last_scan: tuple[str, str, int, tuple[tuple[int, int, int], ...]] | None = None
+
+
 def _myers_distance(a: str, b: str) -> int:
     """Bit-parallel Levenshtein distance (Myers/Hyyro), O(n*m/wordsize).
 
@@ -130,6 +146,20 @@ def _myers_distance(a: str, b: str) -> int:
     kept as a running score.  Used for page-sized strings where the
     counting DP would be needlessly slow, and by the assignment pair table
     for reference words too long for its 64-bit lanes.
+
+    The text is scanned `_CHUNK` characters at a time.  Carries and shifts
+    only move bits up, so bits above the pattern never reach the low
+    len(a) bits; `vp`/`vn` are masked once per chunk, not every step.  The
+    scan is resumable: the column state after a text prefix depends only on
+    the pattern and that prefix.  The last scan's pattern, text, distance
+    and up to `_MARKS` states at chunk ends are kept in one slot
+    (`_last_scan`).  A call with the same pattern returns the stored
+    distance for the same text, and otherwise resumes from the last state
+    whose prefix the new text shares, so a page's hCER rescans only where
+    its reordered hypothesis leaves the hypothesis that CER scanned.  Any
+    other pattern replaces the slot: `assign.hwer`'s fallback for reference
+    words over 64 characters does so between CER and hCER, and hCER then
+    scans in full (still exact).
     """
     if a == b:
         return 0
@@ -137,22 +167,51 @@ def _myers_distance(a: str, b: str) -> int:
         return len(b)
     if not b:
         return len(a)
-    full = (1 << len(a)) - 1
+    global _last_scan
     peq = _match_masks(a).get
-    # `full ^ v` is `~v & full` for v within `full`: every int stays
-    # non-negative and at most len(a) + 1 bits
-    vp = full
-    vn = 0
-    for c in b:
-        x = peq(c, 0) | vn
-        d0 = ((((x & vp) + vp) ^ vp) | x) & full
-        hp = vn | (full ^ (d0 | vp))
-        hn = d0 & vp
-        hp = ((hp << 1) | 1) & full
-        hn = (hn << 1) & full
-        vp = hn | (full ^ (d0 | hp))
-        vn = d0 & hp
-    return len(b) + vp.bit_count() - vn.bit_count()
+    full = (1 << len(a)) - 1
+    n = len(b)
+    # marks go at multiples of `every` characters, at most _MARKS per text
+    every = _CHUNK * -(-n // (_CHUNK * _MARKS))
+    start, vp, vn, marks = 0, full, 0, []
+    slot = _last_scan
+    if slot is not None and slot[0] == a:
+        _, text, dist, old = slot
+        if text == b:
+            return dist
+        # prefix equality is monotone in the position: count the states
+        # whose prefix the two texts share
+        lo, hi = 0, len(old)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            pos = old[mid][0]
+            if b[:pos] == text[:pos]:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo:
+            start, vp, vn = old[lo - 1]
+            marks = [m for m in old[:lo] if m[0] % every == 0]
+    # `full ^ v` is `~v & full` below bit len(a) and keeps every int
+    # non-negative; bits above grow by at most two per step until masked
+    for pos in range(start, n, _CHUNK):
+        for c in b[pos:pos + _CHUNK]:
+            x = peq(c, 0) | vn
+            d0 = (((x & vp) + vp) ^ vp) | x
+            hp = vn | (full ^ (d0 | vp))
+            hn = d0 & vp
+            hp = (hp << 1) | 1
+            hn <<= 1
+            vp = hn | (full ^ (d0 | hp))
+            vn = d0 & hp
+        vp &= full
+        vn &= full
+        end = pos + _CHUNK
+        if end <= n and end % every == 0:
+            marks.append((end, vp, vn))
+    dist = n + vp.bit_count() - vn.bit_count()
+    _last_scan = (a, b, dist, tuple(marks))
+    return dist
 
 
 def char_distance(x: Sequence[str], y: Sequence[str]) -> int:
@@ -162,7 +221,11 @@ def char_distance(x: Sequence[str], y: Sequence[str]) -> int:
     Each sequence is joined with single spaces first, so the separator
     spaces count as characters on both sides.  The joined `x` is the
     pattern, so a reference scored again (CER then hCER, or the next sweep
-    step) reuses its match masks.
+    step) reuses its match masks, and a call right after one with the same
+    `x` rescans only from where the joined `y` leaves the last one
+    (`_myers_distance`'s scan slot).  Calls on another pattern in between,
+    such as `assign.hwer`'s for reference words over 64 characters, replace
+    the slot: the next call is still exact but scans in full.
     """
     return _myers_distance(join_words(x), join_words(y))
 

@@ -96,6 +96,19 @@ def test_token_invariants_enforced():
         PageTranscript((("a b",),))
 
 
+# every code point for which str.isspace() holds
+WHITESPACE = [chr(i) for i in range(0x110000) if chr(i).isspace()]
+
+
+@pytest.mark.parametrize("position", ["start", "middle", "end"])
+def test_every_whitespace_code_point_in_a_token_is_rejected(position):
+    assert len(WHITESPACE) == 29
+    for c in WHITESPACE:
+        tok = {"start": c + "ab", "middle": "a" + c + "b", "end": "ab" + c}[position]
+        with pytest.raises(StructureError, match="whitespace"):
+            PageTranscript((("x", tok),))
+
+
 @settings(deadline=None)
 @given(
     st.lists(

@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from pageval.core import (
     Trace,
     tokenize_page,
 )
+from pageval import editdist
 from pageval.editdist import (
     _myers_distance,
     char_distance,
@@ -196,6 +198,101 @@ def test_myers_distance_matches_bruteforce_at_digit_boundaries():
         # at equal lengths `a` stays the pattern, in the first order only
         b = "".join(rng.choice("ab") for _ in range(m))
         assert _myers_distance(a, b) == lev_bruteforce(a, b)
+
+
+def _lev(a, b):
+    # the oracle recurses about len(a) + len(b) frames deep
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 3 * (len(a) + len(b)) + 200))
+    try:
+        return lev_bruteforce(a, b)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _check_calls(calls):
+    """Each `_myers_distance` call in turn, from an empty scan slot, equals
+    the oracle; the slot never holds more than `_MARKS` states."""
+    editdist._last_scan = None
+    for a, b in calls:
+        assert _myers_distance(a, b) == _lev(a, b), (len(a), len(b))
+        assert len(editdist._last_scan[3]) <= editdist._MARKS
+
+
+def _diverging(rng, text, p, tail_len, alphabet="abc"):
+    # text[:p] followed by a tail whose first character differs from text[p]
+    first = rng.choice([c for c in alphabet + "q" if text[p:p + 1] != c])
+    return text[:p] + first + "".join(rng.choice(alphabet) for _ in range(tail_len))
+
+
+def test_myers_scan_resumes_at_every_shared_prefix_length():
+    # the pattern is a noisy copy of the text, so that a state resumed at
+    # the wrong place shows in the distance
+    rng = random.Random(8)
+    base = "".join(rng.choice("abc ") for _ in range(200))
+    a = "".join(c if rng.random() < 0.9 else rng.choice("abc") for c in base)
+    chunk = editdist._CHUNK
+    calls = []
+    for _ in range(3):
+        for p in (0, chunk - 1, chunk, chunk + 1, 2 * chunk, len(base)):
+            tail = base[p + 1:] if rng.random() < 0.5 else "abc" * rng.randint(0, 30)
+            calls += [(a, base), (a, _diverging(rng, base, p, 0) + tail)]
+    _check_calls(calls)
+    # a resumed scan keeps the states of the shared whole chunks themselves
+    _myers_distance(a, base)
+    before = editdist._last_scan[3]
+    assert [m[0] for m in before] == [chunk, 2 * chunk, 3 * chunk]
+    _myers_distance(a, _diverging(rng, base, 2 * chunk + 5, 100))
+    after = editdist._last_scan[3]
+    assert after[0] is before[0] and after[1] is before[1]
+    assert after[2] is not before[2]
+
+
+def test_myers_scan_of_the_same_text_twice():
+    rng = random.Random(9)
+    a = "".join(rng.choice("ab") for _ in range(90))
+    b = "".join(rng.choice("abc") for _ in range(150))
+    _check_calls([(a, b), (a, b), (a, b[:-1]), (a, b[:-1]), (a, b)])
+
+
+def test_myers_scan_with_another_pattern_in_between():
+    rng = random.Random(10)
+    a = "".join(rng.choice("abc") for _ in range(80))
+    c = "".join(rng.choice("abc") for _ in range(75))
+    b = "".join(rng.choice("abc") for _ in range(190))
+    b2 = _diverging(rng, b, 150, 30)
+    d = _diverging(rng, b, 140, 20)
+    _check_calls([(a, b), (c, b2), (a, b2), (c, d), (a, d), (a, b)])
+
+
+def test_myers_scan_of_a_long_text_then_a_shorter_one():
+    # up to _CHUNK * _MARKS characters a state follows every chunk, past it
+    # every second chunk or more; a text that follows keeps only the shared
+    # states of its own spacing
+    rng = random.Random(11)
+    a = "".join(rng.choice("ab ") for _ in range(40))
+    long_text = "".join(rng.choice("ab ") for _ in range(
+        editdist._CHUNK * editdist._MARKS + 300
+    ))
+    short = _diverging(rng, long_text, 700, 100, "ab ")
+    longer = _diverging(rng, long_text, 1200, 900, "ab ")
+    _check_calls([
+        (a, long_text[:1024]), (a, longer), (a, long_text), (a, short),
+        (a, long_text), (a, short[:650]),
+    ])
+
+
+def test_myers_scan_resumes_across_digit_boundaries():
+    # patterns of 29-31, 59-61 and 89-91 characters put the top bit and the
+    # carry out on either side of a 30-bit digit edge
+    rng = random.Random(12)
+    for m in (29, 30, 31, 59, 60, 61, 89, 90, 91):
+        a = "".join(rng.choice("abж") for _ in range(m))
+        b = "".join(rng.choice("abжq") for _ in range(rng.randint(130, 260)))
+        calls = [(a, b)]
+        for p in (64, 128, len(b) - 3):
+            calls.append((a, _diverging(rng, b, p, rng.randint(0, 60), "abж")))
+        _check_calls(calls)
 
 
 def test_page_wer_by_lines_identity():

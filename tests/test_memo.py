@@ -1,7 +1,8 @@
 """The per-reference memos of the two bit-parallel engines: the bigint
-engine's match masks (`editdist._match_masks`) and the pair kernel's
-reference side (`assign._reference_side`).  A report must not depend on
-whether a memo was cold, warm or had evicted the reference meanwhile."""
+engine's match masks (`editdist._match_masks`) and its last scan
+(`editdist._last_scan`), and the pair kernel's reference side
+(`assign._reference_side`).  A report must not depend on whether a memo was
+cold, warm or had evicted the reference meanwhile."""
 
 import dataclasses
 import gc
@@ -24,6 +25,7 @@ MEMOS = (assign._reference_side, editdist._match_masks)
 def _clear():
     for memo in MEMOS:
         memo.cache_clear()
+    editdist._last_scan = None
 
 
 def _page(words, page_id="p"):
@@ -154,6 +156,37 @@ def test_sweep_builds_each_reference_side_once():
     masks = editdist._match_masks.cache_info()
     assert (lanes.misses, lanes.hits) == (3, 9)
     assert (masks.misses, masks.hits) == (3, 15)
+
+
+def _zipf_page_pair(seed):
+    # a long-pages-sized page: a 2,000-word reference over a Zipf vocabulary
+    rng = random.Random(seed)
+    vocab = [random_word(rng) for _ in range(5000)]
+    weights = [1 / r for r in range(1, len(vocab) + 1)]
+    x = tuple(rng.choices(vocab, weights, k=2000))
+    y = [w if rng.random() < 0.8 else random_word(rng) for w in x]
+    return x, y
+
+
+def test_scan_slot_after_cer_then_hcer_on_a_2000_word_page_is_bounded():
+    x, y = _zipf_page_pair(29)
+    # hCER's text: the hypothesis with two late words swapped
+    z = list(y)
+    z[1500], z[1900] = z[1900], z[1500]
+    _clear()
+    cer = editdist.char_distance(x, y)
+    cer_states = editdist._last_scan[3]
+    hcer = editdist.char_distance(x, z)
+    pattern, text, dist, states = editdist._last_scan
+    assert (pattern, text, dist) == (" ".join(x), " ".join(z), hcer)
+    assert 0 < len(states) <= editdist._MARKS
+    # the states inside the shared prefix came over from CER's scan
+    shared = [m for m in cer_states if m[0] <= len(" ".join(y[:1500]))]
+    assert len(shared) > editdist._MARKS // 2
+    assert all(s is c for s, c in zip(states, shared))
+    editdist._last_scan = None
+    assert editdist.char_distance(x, z) == hcer
+    assert editdist.char_distance(x, y) == cer
 
 
 def test_memo_bytes_retained_after_a_2000_word_page_are_bounded():
