@@ -18,7 +18,10 @@ installation without that file falls back to `from scipy.optimize import
 linear_sum_assignment`.  Among equal-cost matchings the reported metrics
 are canonicalized by an epsilon-scaled mismatch penalty, far below the cost
 granularity, which deterministically selects a member with the smallest
-mismatch count (hence the smallest hWER) of the optimal family.
+mismatch count (hence the smallest hWER) of the optimal family.  A page
+whose hypothesis equals its reference word for word skips the solve: when
+gamma/n > 0 the identity is the only zero-cost matching, so it is the
+solver's answer (`_canonical_solve`).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import Alignment, EmptyReferenceError, StructureError
-from .editdist import _myers_distance, char_distance
+from .editdist import _match_masks, _scan, char_distance
 
 
 def _load_lsap():
@@ -320,7 +323,8 @@ def _unique_pair_table(ref: _Reference, uy: list[str]) -> np.ndarray:
 
     for i in ref.loose:
         a = ref.words[i]
-        table[i] = [_myers_distance(a, w) for w in uy]
+        masks = _match_masks(a)
+        table[i] = [_scan(masks, len(a), w) for w in uy]
     return table
 
 
@@ -353,7 +357,9 @@ def _assemble(
     (pair + bonus) + gamma*|j-k|/n in exactly that operation order: the
     solver's choice among tied optima depends on the last bit of every cell.
     `mismatch_bonus` (the tie-break perturbation) goes to every pair with a
-    non-zero distance, that is to every pair of unequal words.
+    non-zero distance, that is to every pair of unequal words: it is added
+    to the whole row block, and zero-distance cells are set back to 0.0,
+    which needs no masked add and no block-sized float temporary.
     """
     n, m = len(x), len(y)
     side = n + m
@@ -378,7 +384,8 @@ def _assemble(
             dist = table[rows[start:stop]][:, cols]
             block[...] = dist
             if mismatch_bonus:
-                np.add(block, mismatch_bonus, out=block, where=dist > 0)
+                block += mismatch_bonus
+                block[dist == 0] = 0.0
             block += reg[start:stop]
     # dummy partners: half the word length, displacement term fixed at 1
     x_len = ref.lens[ref.rows]
@@ -448,9 +455,21 @@ def _canonical_solve(
     The penalty mirrors the hWER numerator (1 per mismatched real pair, 1/2
     per dummy pair) so ties resolve toward the lowest hWER; epsilon is small
     enough that cost optimality is untouched.
+
+    An unchanged page (y equal to x word for word) with gamma/n > 0 gets
+    the identity alignment without a pair table or a solve.  That is the
+    solver's answer: every off-diagonal real cell costs at least gamma/n
+    (a repeated word) or 1 (another word), and every dummy cell more than
+    0, so the identity is the only matching of cost 0.  In the solver,
+    each real row in turn finds its one zero, its own free diagonal column,
+    with all duals 0; the dummy rows then take the free dummy columns,
+    which the decoding drops.  At gamma = 0, or a gamma so small that
+    gamma/n underflows to 0, repeated words tie and the solve decides.
     """
     _check_args(x, gamma)
     n, m = len(x), len(y)
+    if gamma / n > 0 and tuple(x) == tuple(y):
+        return Alignment(frozenset(zip(range(n), range(n))))
     eps = 1e-8 / (n + m)
     values = _assemble(x, y, gamma, mismatch_bonus=eps, dummy_bonus=eps / 2)
     return _decode_pairs(*linear_sum_assignment(values), n, m)

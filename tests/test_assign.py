@@ -485,6 +485,62 @@ def test_hwer_tie_case():
     assert got == assignment_cost_bruteforce(TINY_X, TINY_Y, Fraction(1))
 
 
+def _counting_solver(monkeypatch):
+    calls = []
+    real = assign.linear_sum_assignment
+
+    def counting(values):
+        calls.append(values.shape)
+        return real(values)
+
+    monkeypatch.setattr(assign, "linear_sum_assignment", counting)
+    return calls
+
+
+def _solved_alignment(x, y, gamma):
+    # `_canonical_solve`'s solver path: the same bonuses, then the solve
+    n, m = len(x), len(y)
+    eps = 1e-8 / (n + m)
+    values = assign._assemble(x, y, gamma, mismatch_bonus=eps, dummy_bonus=eps / 2)
+    return assign._decode_pairs(*assign.linear_sum_assignment(values), n, m)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1e-3, 1e-300])
+def test_unchanged_page_gets_the_solvers_identity_without_a_solve(monkeypatch, gamma):
+    # pages with repeated words, where any off-diagonal pair of equal words
+    # costs only gamma*|j-k|/n
+    rng = random.Random(37)
+    pages = [["a"], ["a", "a"], ["ab", "b", "ab", "ab", "b"]]
+    pages += [
+        [rng.choice(["a", "b", "ab", "ba"]) for _ in range(rng.randint(2, 40))]
+        for _ in range(12)
+    ]
+    solved = [_solved_alignment(x, list(x), gamma) for x in pages]
+    calls = _counting_solver(monkeypatch)
+    for x, want in zip(pages, solved):
+        rate, alignment = hwer(x, list(x), gamma)
+        assert alignment == want == Alignment(frozenset((j, j) for j in range(len(x))))
+        assert rate == 0.0
+    assert calls == []
+
+
+@pytest.mark.parametrize("gamma", [0.0, 5e-324])
+def test_unchanged_page_is_solved_when_gamma_over_n_is_zero(monkeypatch, gamma):
+    # at gamma 0, or at the smallest subnormal over n >= 2, equal words tie
+    # at every position, so the solver decides
+    x = ["a", "b", "a", "a"]
+    assert gamma / len(x) == 0.0
+    calls = _counting_solver(monkeypatch)
+    rate, alignment = hwer(x, list(x), gamma)
+    assert calls == [(8, 8)]
+    assert rate == 0.0
+    assert alignment.dummy_count == 0
+    assert all(x[j] == x[k] for j, k in alignment.pairs)
+    # one word: 5e-324 / 1 is still positive
+    assert hwer(["a"], ["a"], gamma)[1] == Alignment(frozenset({(0, 0)}))
+    assert len(calls) == (2 if gamma == 0.0 else 1)
+
+
 def test_hwer_empty_hypothesis_all_deletions():
     rate, alignment = hwer(["ab", "cd"], [], 1.0)
     assert rate == 1.0

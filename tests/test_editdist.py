@@ -135,6 +135,53 @@ def test_edit_distance_matches_reference_tie_order():
         _assert_matches_reference(y, x)
 
 
+def test_edit_distance_with_a_shared_suffix_matches_reference():
+    # the table leaves out the word suffix both sides share: a forced suffix
+    # of every length from 0, on alphabets of 2-3 items whose ties make the
+    # backtrace preference decide most traces
+    rng = random.Random(13)
+    for _ in range(300):
+        alphabet = "abc"[: rng.randint(2, 3)]
+
+        def draw(k):
+            return [rng.choice(alphabet) for _ in range(k)]
+
+        hx, hy = draw(rng.randint(0, 8)), draw(rng.randint(0, 8))
+        for s in range(7):
+            tail = draw(s)
+            for x, y in (
+                (hx + tail, hy + tail),
+                (tail, hy + tail),  # the suffix is all of the shorter side
+                (hx + tail, tail),
+                (tail, list(tail)),  # identical sequences
+                ([], hy + tail),  # one empty side
+            ):
+                _assert_matches_reference(x, y)
+                _assert_matches_reference(y, x)
+
+
+def test_edit_distance_keeps_the_trace_a_shared_prefix_would_change():
+    # only the suffix is trimmed: the full backtrace from [a] to [a, a]
+    # inserts the first `a` and matches the second
+    assert edit_distance(["a"], ["a", "a"]) == (
+        1, EditCounts(1, 0, 0, 1), Trace(((None, 0), (0, 1)))
+    )
+
+
+def test_identical_sequences_build_no_table():
+    # a full table of 3,000 x 3,000 words would take some 72 MB
+    x = [f"w{i % 50}" for i in range(3000)]
+    tracemalloc.start()
+    try:
+        dist, counts, trace = edit_distance(x, list(x))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (dist, counts) == (0, EditCounts(0, 0, 0, 3000))
+    assert trace.pairs == tuple((j, j) for j in range(3000))
+    assert peak < 1 << 20
+
+
 def test_edit_distance_matches_reference_on_a_long_pair():
     # cell values above 256 are past CPython's cached small ints
     rng = random.Random(7)

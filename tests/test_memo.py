@@ -144,9 +144,10 @@ def test_memo_entries_stay_at_the_bound():
 
 
 def test_sweep_builds_each_reference_side_once():
-    # 3 pages x 4 steps: the pair kernel's side is built once per reference,
-    # and the masks once per reference from the first distorted step (step 0
-    # compares identical strings, which needs no masks)
+    # 3 pages x 4 steps: the pair kernel's side and the masks are each built
+    # once per reference, at the first distorted step.  Step 0 scores each
+    # page against itself: identical strings need no masks, and an
+    # identical page gets the identity alignment without the kernel's side
     _clear()
     pages = synthetic_corpus(n_pages=3, lines=2, words_per_line=5, seed=19)
     cfg = simulate.DistortionConfig(mode=simulate.WORD_LEVEL, seed=3)
@@ -154,7 +155,7 @@ def test_sweep_builds_each_reference_side_once():
     assert len(steps) == 4
     lanes = assign._reference_side.cache_info()
     masks = editdist._match_masks.cache_info()
-    assert (lanes.misses, lanes.hits) == (3, 9)
+    assert (lanes.misses, lanes.hits) == (3, 6)
     assert (masks.misses, masks.hits) == (3, 15)
 
 
@@ -187,6 +188,55 @@ def test_scan_slot_after_cer_then_hcer_on_a_2000_word_page_is_bounded():
     editdist._last_scan = None
     assert editdist.char_distance(x, z) == hcer
     assert editdist.char_distance(x, y) == cer
+
+
+def test_long_word_fallback_leaves_the_scan_slot_to_cer_and_hcer(monkeypatch):
+    # a 101-word page whose 70-character reference word takes the pair
+    # kernel's bigint fallback, which runs between the page's CER and hCER
+    rng = random.Random(31)
+    x = [random_word(rng) for _ in range(100)]
+    while x[85] == x[95]:
+        x[95] = random_word(rng)
+    long = "".join(rng.choice("abc") for _ in range(70))
+    x.insert(40, long)
+    y = list(x)
+    y[40] = long[:-1] + "x"
+    # a reading-order swap that hWER's alignment puts back, so hCER's text
+    # leaves CER's at word 86
+    y[86], y[96] = y[96], y[86]
+    assert assign._reference_side(tuple(x)).loose
+    real = editdist._myers_distance
+    slots = []
+
+    def recording(a, b):
+        dist = real(a, b)
+        slots.append(editdist._last_scan)
+        return dist
+
+    monkeypatch.setattr(editdist, "_myers_distance", recording)
+    _clear()
+    report = evaluate_page(_page(x), _page(y))
+    cer, hcer = slots
+    assert editdist._last_scan is hcer
+    assert cer[0] == hcer[0] == " ".join(x)
+    assert (cer[1], cer[2]) == (" ".join(y), report.cer_errors)
+    assert hcer[1] != cer[1] and hcer[2] == report.hcer_errors
+    # hCER resumed CER's scan: its states inside the shared prefix are
+    # CER's own objects
+    shared = [m for m in cer[3] if m[0] <= len(" ".join(y[:86]))]
+    assert len(shared) >= 4
+    assert all(s is c for s, c in zip(hcer[3], shared))
+    editdist._last_scan = None
+    assert editdist.char_distance(x, hcer[1].split(" ")) == report.hcer_errors
+
+    # the fallback rows still equal the oracle, and leave the slot alone
+    ref = assign._reference_side(tuple(x))
+    uy = sorted(set(y))
+    editdist._last_scan = slot = ("p", "t", 0, ())
+    table = assign._unique_pair_table(ref, uy)
+    assert editdist._last_scan is slot
+    for i in ref.loose:
+        assert table[i].tolist() == [lev_bruteforce(ref.words[i], w) for w in uy]
 
 
 def test_memo_bytes_retained_after_a_2000_word_page_are_bounded():
