@@ -10,7 +10,7 @@ from .assign import (
     reorder_hypothesis,
     solve_assignment,
 )
-from .bow import bag_distance, beta_wer, bwac, bwer
+from .bow import bag_distance, beta_wer, bwer
 from .core import (
     Alignment,
     EditCounts,
@@ -23,7 +23,7 @@ from .core import (
     join_words,
     tokenize_page,
 )
-from .editdist import edit_distance, page_wer_by_lines, page_wer_concat
+from .editdist import edit_distance
 from .reading_order import nsfd, renumber
 from .report import CorpusReport, PageReport, aggregate, evaluate_page
 from .simulate import (
@@ -56,7 +56,6 @@ __all__ = [
     "bag_distance",
     "beta_wer",
     "build_cost_matrix",
-    "bwac",
     "bwer",
     "distort_chars",
     "distort_corpus",
@@ -65,8 +64,6 @@ __all__ = [
     "hwer",
     "join_words",
     "nsfd",
-    "page_wer_by_lines",
-    "page_wer_concat",
     "predict_bwer_split_increase",
     "predict_nsfd_splits",
     "predict_nsfd_swaps",

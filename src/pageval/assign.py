@@ -73,11 +73,6 @@ class CostMatrix:
     values: np.ndarray
     n_ref: int
     n_hyp: int
-    gamma: float
-
-    @property
-    def side(self) -> int:
-        return self.n_ref + self.n_hyp
 
 
 # Packed reference words per read-out of the pair kernel: the read-out's
@@ -418,9 +413,7 @@ def build_cost_matrix(
 ) -> CostMatrix:
     """Assemble the regularized assignment costs for two word sequences."""
     _check_args(x, gamma)
-    return CostMatrix(
-        values=_assemble(x, y, gamma), n_ref=len(x), n_hyp=len(y), gamma=gamma
-    )
+    return CostMatrix(values=_assemble(x, y, gamma), n_ref=len(x), n_hyp=len(y))
 
 
 def _decode_pairs(rows: np.ndarray, cols: np.ndarray, n: int, m: int) -> Alignment:

@@ -58,15 +58,3 @@ def bwer_errors(x: Sequence[str], y: Sequence[str]) -> int:
     big_b = bag_distance(x, y)
     b = abs(len(x) - len(y))
     return b + (big_b - b) // 2
-
-
-def bwac(x: Sequence[str], y: Sequence[str]) -> float:
-    """Bag-of-words accuracy: matched instance fraction of the reference.
-
-    Reference operation kept for comparison experiments only; it ignores
-    hypothesis insertions entirely, which is its documented flaw.
-    """
-    if len(x) == 0:
-        raise EmptyReferenceError("bWAC is undefined for an empty reference")
-    fx, fy = Counter(x), Counter(y)
-    return sum(min(c, fy[v]) for v, c in fx.items()) / len(x)

@@ -1,6 +1,5 @@
-"""Levenshtein edit distance with backtrace at word level, the character
-distance between word sequences, and the line-based and
-concatenation-based page-level WER.
+"""Levenshtein edit distance with backtrace at word level and the
+character distance between word sequences.
 
 All edit operations have unit cost.  Backtrace tie-breaking prefers
 match/substitution over deletion over insertion, which keeps traces and
@@ -42,14 +41,7 @@ import functools
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .core import (
-    EditCounts,
-    EmptyReferenceError,
-    PageTranscript,
-    StructureError,
-    Trace,
-    join_words,
-)
+from .core import EditCounts, Trace, join_words
 
 
 def edit_distance(
@@ -273,37 +265,3 @@ def char_distance(x: Sequence[str], y: Sequence[str]) -> int:
     uses the slot-free `_scan`, so it does not come between CER and hCER.
     """
     return _myers_distance(join_words(x), join_words(y))
-
-
-def page_wer_by_lines(
-    ref: PageTranscript, hyp: PageTranscript
-) -> tuple[float, EditCounts]:
-    """Traditional page WER: per-line edit counts accumulated over the M
-    line pairs, normalized by the reference word count.
-
-    Requires equal line counts; otherwise use page_wer_concat.
-    """
-    if ref.line_count != hyp.line_count:
-        raise StructureError(
-            f"line count mismatch: {ref.line_count} reference lines vs "
-            f"{hyp.line_count} hypothesis lines"
-        )
-    n = ref.word_count
-    if n == 0:
-        raise EmptyReferenceError("page WER is undefined for an empty reference")
-    total = EditCounts()
-    for rl, hl in zip(ref.lines, hyp.lines):
-        _, counts, _ = edit_distance(rl, hl)
-        total = total + counts
-    return total.errors / n, total
-
-
-def page_wer_concat(
-    ref: PageTranscript, hyp: PageTranscript
-) -> tuple[float, EditCounts, Trace]:
-    """Page WER on the concatenated word sequences."""
-    x = ref.words
-    if not x:
-        raise EmptyReferenceError("page WER is undefined for an empty reference")
-    dist, counts, trace = edit_distance(x, hyp.words)
-    return dist / len(x), counts, trace

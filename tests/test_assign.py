@@ -40,7 +40,7 @@ def test_cost_matrix_cells():
     m = build_cost_matrix(["be"], ["be,"], gamma=0.0)
     assert m.values[0, 0] == 1.0
     m = build_cost_matrix(["ab"], [], gamma=0.0)
-    assert m.side == 1
+    assert m.values.shape == (1, 1)
     assert m.values[0, 0] == 1.0  # half the word length
     m = build_cost_matrix(["w"] * 10, ["w"] * 10, gamma=1.0)
     assert m.values[0, 2] == pytest.approx(2 / 10)

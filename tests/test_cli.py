@@ -1,5 +1,8 @@
 import json
 import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -394,6 +397,48 @@ def test_eval_out_of_memory_page_is_a_page_error(tmp_path, monkeypatch, capsys):
     ]
     assert payload["corpus"]["n_pages"] == 1
     assert payload["corpus"]["n_words"] == 5
+
+
+# The child's address-space limit: a few times what `pageval eval` needs for
+# a small page (~143 MB VmPeak), far below the 1.15 GB hWER matrix of the
+# 6,000-word page below.
+_CHILD_AS_LIMIT = 700 * 2**20
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (_CHILD_AS_LIMIT, _CHILD_AS_LIMIT))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_eval_page_beyond_address_space_is_a_page_error(tmp_path, jobs):
+    # A real allocation failure, in a child process only: the hypothesis is
+    # the reference with its first word replaced, so the shared suffix keeps
+    # the word DP tiny, no identity shortcut applies, and `_assemble` asks
+    # for a 12,000 x 12,000 float64 matrix.
+    words = [f"w{i % 50}" for i in range(6000)]
+    ref = write_corpus(tmp_path / "ref", {"a.txt": "a few words\n",
+                                          "p.txt": " ".join(words) + "\n"})
+    hyp = write_corpus(tmp_path / "hyp", {"a.txt": "a few words\n",
+                                          "p.txt": " ".join(["zz", *words[1:]]) + "\n"})
+    out = tmp_path / "report.json"
+    # one BLAS thread, so the address space numpy reserves at import does not
+    # grow with the host's CPU count
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-m", "pageval.cli", "eval", "--ref", str(ref),
+         "--hyp", str(hyp), "--out", str(out), "--jobs", jobs],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_limit_address_space,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "eval: p.txt: not enough memory to score this page" in done.stderr
+    assert "Traceback" not in done.stderr
+    payload = json.loads(out.read_text())
+    assert payload["page_errors"] == [
+        {"page_id": "p.txt", "error": "not enough memory to score this page"}
+    ]
+    assert payload["corpus"]["n_pages"] == 1
 
 
 def test_simulate_sweep_out_of_memory_exit_two(tmp_path, monkeypatch, capsys):

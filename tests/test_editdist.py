@@ -3,28 +3,14 @@ import sys
 import tracemalloc
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pageval.core import (
-    EditCounts,
-    EmptyReferenceError,
-    PageTranscript,
-    StructureError,
-    Trace,
-    tokenize_page,
-)
+from pageval.core import EditCounts, PageTranscript, Trace
 from pageval import editdist
-from pageval.editdist import (
-    _myers_distance,
-    char_distance,
-    edit_distance,
-    page_wer_by_lines,
-    page_wer_concat,
-)
+from pageval.editdist import _myers_distance, char_distance, edit_distance
 
-from conftest import EX1_X, EX1_Y, EX3_X, EX3_Y, EX3_Z
+from conftest import EX1_X, EX1_Y
 from oracles import (
     edit_distance_bruteforce,
     edit_trace_reference,
@@ -74,18 +60,6 @@ def test_char_distance_trivial_cases():
     assert char_distance(["same"], ["same"]) == 0
     assert char_distance(["be"], ["be,"]) == 1
     assert char_distance(["be"], ["be,"]) == lev_bruteforce("be", "be,")
-
-
-def test_wer_worked_example():
-    assert page_wer_concat(_page(EX1_X), _page(EX1_Y))[0] == 5 / 10
-    assert page_wer_concat(_page(EX1_X), _page(EX1_X))[0] == 0.0
-
-
-def test_wer_can_exceed_one():
-    assert page_wer_concat(_page(["a"]), _page(["b", "c", "d"]))[0] == 3.0
-    assert edit_distance(["a"], ["b", "c", "d"])[0] == edit_distance_bruteforce(
-        ["a"], ["b", "c", "d"]
-    )
 
 
 def test_distance_symmetry_small_random():
@@ -340,66 +314,3 @@ def test_myers_scan_resumes_across_digit_boundaries():
         for p in (64, 128, len(b) - 3):
             calls.append((a, _diverging(rng, b, p, rng.randint(0, 60), "abж")))
         _check_calls(calls)
-
-
-def test_page_wer_by_lines_identity():
-    page = tokenize_page("a b c\nd e\nf", "p")
-    rate, counts = page_wer_by_lines(page, page)
-    assert rate == 0.0 and counts.correct == 6
-
-
-def test_page_wer_by_lines_single_line_worked_example():
-    ref = PageTranscript((tuple(EX1_X),), "p")
-    hyp = PageTranscript((tuple(EX1_Y),), "p")
-    rate, counts = page_wer_by_lines(ref, hyp)
-    assert rate == 5 / 10
-    assert counts.errors == 5
-
-
-def test_page_wer_by_lines_accumulates():
-    perfect = ("w1", "w2", "w3", "w4")
-    ref = PageTranscript((perfect, tuple(EX1_X)), "p")
-    hyp = PageTranscript((perfect, tuple(EX1_Y)), "p")
-    rate, counts = page_wer_by_lines(ref, hyp)
-    assert rate == 5 / 14
-    assert counts.correct == 4 + 6
-
-
-def test_page_wer_by_lines_rejects_line_mismatch():
-    ref = tokenize_page("a\nb", "p")
-    hyp = tokenize_page("a", "p")
-    with pytest.raises(StructureError):
-        page_wer_by_lines(ref, hyp)
-
-
-def test_page_wer_concat_worked_examples():
-    ref = PageTranscript((tuple(EX3_X),), "p")
-    rate, counts, _ = page_wer_concat(ref, PageTranscript((tuple(EX3_Y),), "p"))
-    assert rate == 12 / 14
-    assert (counts.insertions, counts.substitutions, counts.deletions) == (0, 11, 1)
-    rate, counts, _ = page_wer_concat(ref, PageTranscript((tuple(EX3_Z),), "p"))
-    assert rate == 3 / 14
-    assert (counts.insertions, counts.substitutions, counts.deletions) == (0, 2, 1)
-    assert page_wer_concat(ref, ref)[0] == 0.0
-
-
-def test_page_wer_concat_empty_reference_rejected():
-    with pytest.raises(EmptyReferenceError):
-        page_wer_concat(PageTranscript((), "p"), tokenize_page("a", "p"))
-
-
-def test_concat_distance_never_exceeds_by_lines():
-    rng = random.Random(12)
-    for _ in range(60):
-        n_lines = rng.randint(1, 4)
-        mk = lambda: tuple(
-            tuple(rng.choice(["aa", "ab", "b", "cc"]) for _ in range(rng.randint(1, 5)))
-            for _ in range(n_lines)
-        )
-        ref = PageTranscript(mk(), "p")
-        hyp = PageTranscript(mk(), "p")
-        if ref.word_count == 0:
-            continue
-        _, by_lines = page_wer_by_lines(ref, hyp)
-        _, concat, _ = page_wer_concat(ref, hyp)
-        assert concat.errors <= by_lines.errors

@@ -46,7 +46,6 @@ def test_public_api_is_pinned():
         "bag_distance",
         "beta_wer",
         "build_cost_matrix",
-        "bwac",
         "bwer",
         "distort_chars",
         "distort_corpus",
@@ -55,8 +54,6 @@ def test_public_api_is_pinned():
         "hwer",
         "join_words",
         "nsfd",
-        "page_wer_by_lines",
-        "page_wer_concat",
         "predict_bwer_split_increase",
         "predict_nsfd_splits",
         "predict_nsfd_swaps",

@@ -9,11 +9,12 @@ from pageval.core import EmptyReferenceError, EvalError, PageTranscript, tokeniz
 from pageval.editdist import char_distance
 from pageval.report import aggregate, evaluate_page
 
-from conftest import EX3_X, EX3_Y, two_column_pages
+from conftest import EX1_X, EX1_Y, EX3_X, EX3_Y, EX3_Z, two_column_pages
 from oracles import (
     alignment_cost_exact,
     assignment_cost_bruteforce,
     bag_distance_counter,
+    edit_distance_bruteforce,
     lev_bruteforce,
 )
 
@@ -24,6 +25,26 @@ def page_of(words, page_id="p"):
 
 def _scores(report):
     return dataclasses.replace(report, timings={})
+
+
+@pytest.mark.parametrize(
+    "x, y, wer, counts",
+    [
+        (EX1_X, EX1_Y, 5 / 10, (1, 2, 2)),
+        (EX1_X, EX1_X, 0.0, (0, 0, 0)),
+        (["a"], ["b", "c", "d"], 3.0, (2, 1, 0)),
+        (EX3_X, EX3_Y, 12 / 14, (0, 11, 1)),
+        (EX3_X, EX3_Z, 3 / 14, (0, 2, 1)),
+        (EX3_X, EX3_X, 0.0, (0, 0, 0)),
+    ],
+    ids=["ex1", "ex1-identity", "exceeds-one", "ex3-y", "ex3-z", "ex3-identity"],
+)
+def test_page_wer_worked_examples(x, y, wer, counts):
+    r = evaluate_page(page_of(x), page_of(y))
+    assert r.wer == wer
+    c = r.wer_counts
+    assert (c.insertions, c.substitutions, c.deletions) == counts
+    assert r.wer_errors == edit_distance_bruteforce(x, y)
 
 
 def test_bom_page_reports_equal_plain_page():
