@@ -172,12 +172,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
             hyp_path = None
         tasks.append((rel, ref_path, hyp_path, args.gamma))
 
-    if args.jobs > 1:
+    # the pool forks all its workers at the first submit: no more than pages
+    jobs = min(args.jobs, len(tasks))
+    if jobs > 1:
         # imported here: multiprocessing costs every --jobs 1 call start-up time
         import concurrent.futures
         from concurrent.futures.process import BrokenProcessPool
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_evaluate_one, task) for task in tasks]
         results = []
         for (rel, *_), future in zip(tasks, futures):
@@ -225,7 +227,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     if args.out:
         try:
-            Path(args.out).write_text(out_text, encoding="utf-8")
+            # the page id of a non-UTF-8 file name holds its bytes as surrogates
+            Path(args.out).write_text(out_text, "utf-8", "surrogateescape")
         except OSError as exc:
             return _cannot_write("eval", exc)
     else:

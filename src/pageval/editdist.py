@@ -27,12 +27,9 @@ it is among the last 64 references scored: the pattern's match masks
 (`_match_masks`) and the kernel's lane layout and per-lane masks
 (`assign._reference_side`), each memoized in a bounded
 `functools.lru_cache`.  A page's CER and hCER share one pattern, and a
-sweep scores each reference at every step.  The bigint engine also keeps
-its last scan (`_last_scan`): one pattern and text, the distance and up to
-`_MARKS` resumable column states, written only by `_myers_distance`.
-hCER's text is the hypothesis reordered along the hWER alignment, which is
-the hypothesis itself when the reading order is right, so hCER returns
-CER's distance or resumes CER's scan where the two texts part.
+sweep scores each reference at every step.  `_myers_distance` memoizes its
+last call, so hCER, whose reordered hypothesis is the hypothesis itself
+when the reading order is right, then returns CER's distance unscanned.
 """
 
 from __future__ import annotations
@@ -137,45 +134,26 @@ def _match_masks(a: str) -> Mapping[str, int]:
     return MappingProxyType(peq)
 
 
-# Text characters scanned between two maskings of the column state, and
-# the most resume states the scan slot keeps for one text.
+# Text characters scanned between two maskings of the column state.
 _CHUNK = 64
-_MARKS = 16
-
-# The last scan: (pattern, text, distance, resume states), each state a
-# (text position, vp, vn) after a whole number of chunks, in text order.
-# Replaced as one tuple, never changed in place.
-_last_scan: tuple[str, str, int, tuple[tuple[int, int, int], ...]] | None = None
 
 
-def _scan(
-    masks: Mapping[str, int],
-    size: int,
-    b: str,
-    state: tuple[int, int, int] | None = None,
-    marks: list[tuple[int, int, int]] | None = None,
-    every: int = _CHUNK,
-) -> int:
+def _scan(masks: Mapping[str, int], size: int, b: str) -> int:
     """Bit-parallel Levenshtein distance (Myers/Hyyro) from a pattern of
     `size` characters, given by its match masks (`_match_masks`), to text
     `b`, O(size*|b|/wordsize), read off the last column's vertical deltas,
-    |b| + #vp - #vn.  Reads and writes no scan slot.
+    |b| + #vp - #vn.
 
-    `state` is a column state (position, vp, vn) after b[:position] to
-    resume from; without one the scan starts at the text's start.  The
-    text is scanned `_CHUNK` characters at a time, and when `marks` is a
-    list, the state after each chunk that ends at a multiple of `every`
-    characters is appended to it.  Carries and shifts only move bits up, so
-    bits above the pattern never reach the low `size` bits; `vp`/`vn` are
-    masked once per chunk, not every step.
+    The text is scanned `_CHUNK` characters at a time.  Carries and shifts
+    only move bits up, so bits above the pattern never reach the low `size`
+    bits; `vp`/`vn` are masked once per chunk, not every step.
     """
     peq = masks.get
     full = (1 << size) - 1
-    start, vp, vn = state or (0, full, 0)
-    n = len(b)
+    vp, vn = full, 0
     # `full ^ v` is `~v & full` below bit `size` and keeps every int
     # non-negative; bits above grow by at most two per step until masked
-    for pos in range(start, n, _CHUNK):
+    for pos in range(0, len(b), _CHUNK):
         for c in b[pos:pos + _CHUNK]:
             x = peq(c, 0) | vn
             d0 = (((x & vp) + vp) ^ vp) | x
@@ -187,33 +165,24 @@ def _scan(
             vn = d0 & hp
         vp &= full
         vn &= full
-        end = pos + _CHUNK
-        if marks is not None and end <= n and end % every == 0:
-            marks.append((end, vp, vn))
-    return n + vp.bit_count() - vn.bit_count()
+    return len(b) + vp.bit_count() - vn.bit_count()
 
 
+@functools.lru_cache(maxsize=1)
 def _myers_distance(a: str, b: str) -> int:
-    """Bit-parallel Levenshtein distance (`_scan`) that keeps its last scan.
+    """Bit-parallel Levenshtein distance (`_scan`), memoizing the last call.
 
-    Distance only, no counts; Python integers serve as unbounded bit
-    vectors so any pattern length works.  `a` is always the pattern and `b`
-    the text scanned one character per step (the distance is symmetric):
-    callers pass the reference side as `a`, because its match masks are
-    memoized by pattern (`_match_masks`, at most `_MASK_MEMO_ENTRIES`
-    patterns), so a reference scored again reuses them.  Used for
-    page-sized strings, where the counting DP would be needlessly slow.
+    For page-sized strings, where the counting DP would be needlessly slow.
+    Python integers serve as unbounded bit vectors, so any pattern length
+    works.  `a` is always the pattern and `b` the text (the distance is
+    symmetric): callers pass the reference side as `a`, whose match masks
+    are memoized by pattern (`_match_masks`), so a reference scored again
+    reuses them.
 
-    The scan is resumable: the column state after a text prefix depends
-    only on the pattern and that prefix.  The last scan's pattern, text,
-    distance and up to `_MARKS` states at chunk ends are kept in one slot
-    (`_last_scan`).  A call with the same pattern returns the stored
-    distance for the same text, and otherwise resumes from the last state
-    whose prefix the new text shares, so a page's hCER rescans only where
-    its reordered hypothesis leaves the hypothesis that CER scanned.  A
-    call with another pattern replaces the slot.  `assign.hwer`'s fallback
-    for reference words over 64 characters calls `_scan` directly, so it
-    leaves the slot to CER and hCER.
+    The one-entry memo gives a page's hCER CER's distance when its
+    reordered hypothesis is the hypothesis; any other text is scanned in
+    full.  `assign.hwer`'s fallback for reference words over 64 characters
+    calls `_scan` directly, so it does not evict CER's entry.
     """
     if a == b:
         return 0
@@ -221,33 +190,7 @@ def _myers_distance(a: str, b: str) -> int:
         return len(b)
     if not b:
         return len(a)
-    global _last_scan
-    masks = _match_masks(a)
-    n = len(b)
-    # marks go at multiples of `every` characters, at most _MARKS per text
-    every = _CHUNK * -(-n // (_CHUNK * _MARKS))
-    state, marks = None, []
-    slot = _last_scan
-    if slot is not None and slot[0] == a:
-        _, text, dist, old = slot
-        if text == b:
-            return dist
-        # prefix equality is monotone in the position: count the states
-        # whose prefix the two texts share
-        lo, hi = 0, len(old)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            pos = old[mid][0]
-            if b[:pos] == text[:pos]:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo:
-            state = old[lo - 1]
-            marks = [m for m in old[:lo] if m[0] % every == 0]
-    dist = _scan(masks, len(a), b, state, marks, every)
-    _last_scan = (a, b, dist, tuple(marks))
-    return dist
+    return _scan(_match_masks(a), len(a), b)
 
 
 def char_distance(x: Sequence[str], y: Sequence[str]) -> int:
@@ -257,11 +200,8 @@ def char_distance(x: Sequence[str], y: Sequence[str]) -> int:
     Each sequence is joined with single spaces first, so the separator
     spaces count as characters on both sides.  The joined `x` is the
     pattern, so a reference scored again (CER then hCER, or the next sweep
-    step) reuses its match masks, and a call right after one with the same
-    `x` rescans only from where the joined `y` leaves the last one
-    (`_myers_distance`'s scan slot).  A call on another pattern in
-    between replaces the slot: the next call is still exact but scans in
-    full.  `assign.hwer`'s fallback for reference words over 64 characters
-    uses the slot-free `_scan`, so it does not come between CER and hCER.
+    step) reuses its match masks, and a call repeating the last call's
+    strings (hCER on a page in the right reading order) returns the
+    memoized distance (`_myers_distance`).
     """
     return _myers_distance(join_words(x), join_words(y))

@@ -57,13 +57,14 @@ class DistortionConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise StructureError(f"unknown distortion mode {self.mode!r}")
-        if abs(sum(self.op_mix) - 1.0) > 1e-9 or any(p < 0 for p in self.op_mix):
-            raise StructureError("op_mix proportions must be >= 0 and sum to 1")
+        # NaN fails every comparison, so `0 <= p <= 1` also asks for finite
+        mix = self.op_mix
+        if len(mix) != 3 or not all(0 <= p <= 1 for p in mix) or abs(sum(mix) - 1) > 1e-9:
+            raise StructureError("op_mix must be 3 proportions >= 0 that sum to 1")
         if not 0 <= self.whitespace_share <= 1:
             raise StructureError("whitespace_share must be in [0, 1]")
-        lo, hi = self.swap_range
-        if lo < 1 or hi < lo:
-            raise StructureError("swap_range must satisfy 1 <= lo <= hi")
+        if len(self.swap_range) != 2 or not 1 <= self.swap_range[0] <= self.swap_range[1]:
+            raise StructureError("swap_range must be a pair (lo, hi) with 1 <= lo <= hi")
         if self.swaps < 0 or self.splits < 0 or self.tcer_step < 0:
             raise StructureError("counts must be >= 0")
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import resource
@@ -181,6 +182,62 @@ def test_eval_parallel_matches_serial(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+class _InlinePool:
+    """Stands in for `ProcessPoolExecutor`: records `max_workers` and runs
+    each task inline, so no process is started."""
+
+    built: list[int] = []
+
+    def __init__(self, max_workers):
+        self.built.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("pages, jobs, built", [(2, "64", [2]), (1, "2", [])])
+def test_eval_jobs_are_capped_at_the_page_count(tmp_path, monkeypatch, pages, jobs,
+                                                built):
+    corpus = {f"{name}.txt": "a few words\nto score\n" for name in "ab"[:pages]}
+    ref = write_corpus(tmp_path / "ref", corpus)
+    hyp = write_corpus(tmp_path / "hyp", corpus)
+    serial = tmp_path / "serial.json"
+    assert main(["eval", "--ref", str(ref), "--hyp", str(hyp), "--out", str(serial),
+                 "--per-page"]) == 0
+    monkeypatch.setattr(_InlinePool, "built", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    out = tmp_path / "report.json"
+    assert main(["eval", "--ref", str(ref), "--hyp", str(hyp), "--out", str(out),
+                 "--per-page", "--jobs", jobs]) == 0
+    assert _InlinePool.built == built
+    assert out.read_bytes() == serial.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_eval_out_keeps_a_non_utf8_page_name(tmp_path, fmt):
+    name = b"caf\xe9.txt"
+    for side in ("ref", "hyp"):
+        (tmp_path / side).mkdir()
+        with open(os.fsencode(tmp_path / side) + b"/" + name, "wb") as f:
+            f.write(b"some words here\n")
+    out = tmp_path / f"report.{fmt}"
+    assert main(["eval", "--ref", str(tmp_path / "ref"), "--hyp", str(tmp_path / "hyp"),
+                 "--format", fmt, "--out", str(out), "--per-page"]) == 0
+    if fmt == "tsv":
+        assert b"\n" + name + b"\t0.0\t" in out.read_bytes()
+    else:
+        [page] = json.loads(out.read_bytes())["pages"]
+        assert os.fsencode(page["page_id"]) == name
+
+
 def test_usage_error_exit_code_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--ref"])
@@ -291,6 +348,18 @@ def test_simulate_negative_sweep_is_usage_error(tiny_corpus, tmp_path, capsys):
               "--mode", "char-word", "--sweep", "-1"])
     assert exc.value.code == 1
     assert "--sweep: must be at least 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [["--op-mix", "nan", "0.5", "0.5"],
+                                    ["--op-mix", "1", "0", "nan"]])
+def test_simulate_non_finite_op_mix_is_usage_error(tiny_corpus, tmp_path, capsys,
+                                                   option):
+    ref, _ = tiny_corpus
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--ref", str(ref), "--out-dir", str(out_dir),
+                 "--mode", "char-word", *option]) == 1
+    assert "simulate: op_mix must be" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pageval.core import EditCounts, PageTranscript, Trace
-from pageval import editdist
 from pageval.editdist import _myers_distance, char_distance, edit_distance
 
 from conftest import EX1_X, EX1_Y
@@ -231,86 +230,25 @@ def _lev(a, b):
         sys.setrecursionlimit(limit)
 
 
-def _check_calls(calls):
-    """Each `_myers_distance` call in turn, from an empty scan slot, equals
-    the oracle; the slot never holds more than `_MARKS` states."""
-    editdist._last_scan = None
-    for a, b in calls:
-        assert _myers_distance(a, b) == _lev(a, b), (len(a), len(b))
-        assert len(editdist._last_scan[3]) <= editdist._MARKS
-
-
-def _diverging(rng, text, p, tail_len, alphabet="abc"):
-    # text[:p] followed by a tail whose first character differs from text[p]
-    first = rng.choice([c for c in alphabet + "q" if text[p:p + 1] != c])
-    return text[:p] + first + "".join(rng.choice(alphabet) for _ in range(tail_len))
-
-
-def test_myers_scan_resumes_at_every_shared_prefix_length():
-    # the pattern is a noisy copy of the text, so that a state resumed at
-    # the wrong place shows in the distance
+def test_myers_distance_call_sequence_matches_oracle():
+    # the one-entry memo answers a call only when it repeats the last
+    # (pattern, text): a repeated pair, another text for the same pattern,
+    # another pattern in between, and a 30-bit digit-edge pattern
     rng = random.Random(8)
-    base = "".join(rng.choice("abc ") for _ in range(200))
-    a = "".join(c if rng.random() < 0.9 else rng.choice("abc") for c in base)
-    chunk = editdist._CHUNK
-    calls = []
-    for _ in range(3):
-        for p in (0, chunk - 1, chunk, chunk + 1, 2 * chunk, len(base)):
-            tail = base[p + 1:] if rng.random() < 0.5 else "abc" * rng.randint(0, 30)
-            calls += [(a, base), (a, _diverging(rng, base, p, 0) + tail)]
-    _check_calls(calls)
-    # a resumed scan keeps the states of the shared whole chunks themselves
-    _myers_distance(a, base)
-    before = editdist._last_scan[3]
-    assert [m[0] for m in before] == [chunk, 2 * chunk, 3 * chunk]
-    _myers_distance(a, _diverging(rng, base, 2 * chunk + 5, 100))
-    after = editdist._last_scan[3]
-    assert after[0] is before[0] and after[1] is before[1]
-    assert after[2] is not before[2]
-
-
-def test_myers_scan_of_the_same_text_twice():
-    rng = random.Random(9)
-    a = "".join(rng.choice("ab") for _ in range(90))
-    b = "".join(rng.choice("abc") for _ in range(150))
-    _check_calls([(a, b), (a, b), (a, b[:-1]), (a, b[:-1]), (a, b)])
-
-
-def test_myers_scan_with_another_pattern_in_between():
-    rng = random.Random(10)
-    a = "".join(rng.choice("abc") for _ in range(80))
+    a = "".join(rng.choice("abc ") for _ in range(200))
+    b = "".join(c if rng.random() < 0.9 else rng.choice("abc") for c in a)
+    b2 = b[:150] + "q" + b[151:]
     c = "".join(rng.choice("abc") for _ in range(75))
-    b = "".join(rng.choice("abc") for _ in range(190))
-    b2 = _diverging(rng, b, 150, 30)
-    d = _diverging(rng, b, 140, 20)
-    _check_calls([(a, b), (c, b2), (a, b2), (c, d), (a, d), (a, b)])
-
-
-def test_myers_scan_of_a_long_text_then_a_shorter_one():
-    # up to _CHUNK * _MARKS characters a state follows every chunk, past it
-    # every second chunk or more; a text that follows keeps only the shared
-    # states of its own spacing
-    rng = random.Random(11)
-    a = "".join(rng.choice("ab ") for _ in range(40))
-    long_text = "".join(rng.choice("ab ") for _ in range(
-        editdist._CHUNK * editdist._MARKS + 300
-    ))
-    short = _diverging(rng, long_text, 700, 100, "ab ")
-    longer = _diverging(rng, long_text, 1200, 900, "ab ")
-    _check_calls([
-        (a, long_text[:1024]), (a, longer), (a, long_text), (a, short),
-        (a, long_text), (a, short[:650]),
-    ])
-
-
-def test_myers_scan_resumes_across_digit_boundaries():
-    # patterns of 29-31, 59-61 and 89-91 characters put the top bit and the
-    # carry out on either side of a 30-bit digit edge
-    rng = random.Random(12)
-    for m in (29, 30, 31, 59, 60, 61, 89, 90, 91):
-        a = "".join(rng.choice("abж") for _ in range(m))
-        b = "".join(rng.choice("abжq") for _ in range(rng.randint(130, 260)))
-        calls = [(a, b)]
-        for p in (64, 128, len(b) - 3):
-            calls.append((a, _diverging(rng, b, p, rng.randint(0, 60), "abж")))
-        _check_calls(calls)
+    d = "".join(rng.choice("abж") for _ in range(30))
+    e = "".join(rng.choice("abжq") for _ in range(130))
+    calls = [
+        (a, b), (a, b), (a, b2), (a, b2[:-1]), (c, b2), (a, b2), (a, b), (a, b2),
+        (d, e), (d, e), (d, e[:-1]), (c, e), (d, e),
+    ]
+    _myers_distance.cache_clear()
+    last = None
+    for call in calls:
+        hits = _myers_distance.cache_info().hits
+        assert _myers_distance(*call) == _lev(*call), tuple(map(len, call))
+        assert (_myers_distance.cache_info().hits > hits) == (call == last)
+        last = call

@@ -1,6 +1,6 @@
 """The per-reference memos of the two bit-parallel engines: the bigint
-engine's match masks (`editdist._match_masks`) and its last scan
-(`editdist._last_scan`), and the pair kernel's reference side
+engine's match masks (`editdist._match_masks`) and its one-entry distance
+memo (`editdist._myers_distance`), and the pair kernel's reference side
 (`assign._reference_side`).  A report must not depend on whether a memo was
 cold, warm or had evicted the reference meanwhile."""
 
@@ -25,7 +25,7 @@ MEMOS = (assign._reference_side, editdist._match_masks)
 def _clear():
     for memo in MEMOS:
         memo.cache_clear()
-    editdist._last_scan = None
+    editdist._myers_distance.cache_clear()
 
 
 def _page(words, page_id="p"):
@@ -147,7 +147,10 @@ def test_sweep_builds_each_reference_side_once():
     # 3 pages x 4 steps: the pair kernel's side and the masks are each built
     # once per reference, at the first distorted step.  Step 0 scores each
     # page against itself: identical strings need no masks, and an
-    # identical page gets the identity alignment without the kernel's side
+    # identical page gets the identity alignment without the kernel's side.
+    # Each distorted page reads the masks once, for CER: this corpus keeps
+    # its reading order, so hCER repeats CER's call and the distance memo
+    # answers it
     _clear()
     pages = synthetic_corpus(n_pages=3, lines=2, words_per_line=5, seed=19)
     cfg = simulate.DistortionConfig(mode=simulate.WORD_LEVEL, seed=3)
@@ -156,85 +159,52 @@ def test_sweep_builds_each_reference_side_once():
     lanes = assign._reference_side.cache_info()
     masks = editdist._match_masks.cache_info()
     assert (lanes.misses, lanes.hits) == (3, 6)
-    assert (masks.misses, masks.hits) == (3, 15)
+    assert (masks.misses, masks.hits) == (3, 6)
 
 
-def _zipf_page_pair(seed):
-    # a long-pages-sized page: a 2,000-word reference over a Zipf vocabulary
-    rng = random.Random(seed)
-    vocab = [random_word(rng) for _ in range(5000)]
-    weights = [1 / r for r in range(1, len(vocab) + 1)]
-    x = tuple(rng.choices(vocab, weights, k=2000))
-    y = [w if rng.random() < 0.8 else random_word(rng) for w in x]
-    return x, y
-
-
-def test_scan_slot_after_cer_then_hcer_on_a_2000_word_page_is_bounded():
-    x, y = _zipf_page_pair(29)
-    # hCER's text: the hypothesis with two late words swapped
-    z = list(y)
-    z[1500], z[1900] = z[1900], z[1500]
-    _clear()
-    cer = editdist.char_distance(x, y)
-    cer_states = editdist._last_scan[3]
-    hcer = editdist.char_distance(x, z)
-    pattern, text, dist, states = editdist._last_scan
-    assert (pattern, text, dist) == (" ".join(x), " ".join(z), hcer)
-    assert 0 < len(states) <= editdist._MARKS
-    # the states inside the shared prefix came over from CER's scan
-    shared = [m for m in cer_states if m[0] <= len(" ".join(y[:1500]))]
-    assert len(shared) > editdist._MARKS // 2
-    assert all(s is c for s, c in zip(states, shared))
-    editdist._last_scan = None
-    assert editdist.char_distance(x, z) == hcer
-    assert editdist.char_distance(x, y) == cer
-
-
-def test_long_word_fallback_leaves_the_scan_slot_to_cer_and_hcer(monkeypatch):
-    # a 101-word page whose 70-character reference word takes the pair
+def test_hcer_scans_again_only_when_its_text_differs(monkeypatch):
+    # a 31-word page whose 70-character reference word takes the pair
     # kernel's bigint fallback, which runs between the page's CER and hCER
     rng = random.Random(31)
-    x = [random_word(rng) for _ in range(100)]
-    while x[85] == x[95]:
-        x[95] = random_word(rng)
+    x = [random_word(rng) for _ in range(30)]
+    while x[19] == x[25]:
+        x[25] = random_word(rng)
     long = "".join(rng.choice("abc") for _ in range(70))
-    x.insert(40, long)
+    x.insert(10, long)
     y = list(x)
-    y[40] = long[:-1] + "x"
-    # a reading-order swap that hWER's alignment puts back, so hCER's text
-    # leaves CER's at word 86
-    y[86], y[96] = y[96], y[86]
+    y[10] = long[:-1] + "x"
+    # a reading-order swap that hWER's alignment puts back
+    swapped = list(y)
+    swapped[20], swapped[26] = swapped[26], swapped[20]
     assert assign._reference_side(tuple(x)).loose
-    real = editdist._myers_distance
-    slots = []
+    real = editdist._scan
+    texts = []
 
-    def recording(a, b):
-        dist = real(a, b)
-        slots.append(editdist._last_scan)
-        return dist
+    def counting(masks, size, b):
+        texts.append(b)
+        return real(masks, size, b)
 
-    monkeypatch.setattr(editdist, "_myers_distance", recording)
+    monkeypatch.setattr(editdist, "_scan", counting)
     _clear()
+    # the right reading order: hCER repeats CER's call, which the memo answers
     report = evaluate_page(_page(x), _page(y))
-    cer, hcer = slots
-    assert editdist._last_scan is hcer
-    assert cer[0] == hcer[0] == " ".join(x)
-    assert (cer[1], cer[2]) == (" ".join(y), report.cer_errors)
-    assert hcer[1] != cer[1] and hcer[2] == report.hcer_errors
-    # hCER resumed CER's scan: its states inside the shared prefix are
-    # CER's own objects
-    shared = [m for m in cer[3] if m[0] <= len(" ".join(y[:86]))]
-    assert len(shared) >= 4
-    assert all(s is c for s, c in zip(hcer[3], shared))
-    editdist._last_scan = None
-    assert editdist.char_distance(x, hcer[1].split(" ")) == report.hcer_errors
+    assert texts == [" ".join(y)]
+    assert report.hcer_errors == report.cer_errors == lev_bruteforce(
+        " ".join(x), " ".join(y)
+    )
+    # the swap: hCER's reordered text differs from CER's, so it is scanned
+    texts.clear()
+    report = evaluate_page(_page(x), _page(swapped))
+    assert texts == [" ".join(swapped), " ".join(y)]
+    assert report.cer_errors == lev_bruteforce(" ".join(x), " ".join(swapped))
+    assert report.hcer_errors == lev_bruteforce(" ".join(x), " ".join(y))
 
-    # the fallback rows still equal the oracle, and leave the slot alone
+    # the fallback rows still equal the oracle, and leave the memo alone
     ref = assign._reference_side(tuple(x))
     uy = sorted(set(y))
-    editdist._last_scan = slot = ("p", "t", 0, ())
+    info = editdist._myers_distance.cache_info()
     table = assign._unique_pair_table(ref, uy)
-    assert editdist._last_scan is slot
+    assert editdist._myers_distance.cache_info() == info
     for i in ref.loose:
         assert table[i].tolist() == [lev_bruteforce(ref.words[i], w) for w in uy]
 

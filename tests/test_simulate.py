@@ -40,6 +40,22 @@ def test_config_validation():
         DistortionConfig(mode=LINE_SWAP, swap_range=(3, 2))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("op_mix", (float("nan"), 0.5, 0.5)),
+        ("op_mix", (float("inf"), float("-inf"), 1.0)),
+        ("op_mix", (0.5, 0.5)),
+        ("op_mix", (0.5, 0.25, 0.25, 0.0)),
+        ("swap_range", (2,)),
+        ("swap_range", (1, 2, 3)),
+    ],
+)
+def test_config_rejects_non_finite_or_wrong_length_tuples(field, value):
+    with pytest.raises(StructureError, match=field):
+        DistortionConfig(mode=WORD_LEVEL, **{field: value})
+
+
 def test_zero_step_is_identity():
     page = synthetic_corpus(1, 5, 4)[0]
     cfg = DistortionConfig(mode=WORD_LEVEL, seed=1, tcer_step=0)
