@@ -19,8 +19,9 @@ def bag_distance(x: Sequence[str], y: Sequence[str]) -> int:
     Interpretable as the insertions plus deletions needed to turn x into y
     when substitutions are not allowed.
     """
-    fx, fy = Counter(x), Counter(y)
-    return sum(abs(fx[v] - fy[v]) for v in fx.keys() | fy.keys())
+    f = Counter(x)
+    f.subtract(y)
+    return sum(map(abs, f.values()))
 
 
 def beta_wer(x: Sequence[str], y: Sequence[str]) -> float:

@@ -231,6 +231,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
             Path(args.out).write_text(out_text, "utf-8", "surrogateescape")
         except OSError as exc:
             return _cannot_write("eval", exc)
+    elif hasattr(sys.stdout, "buffer"):
+        # as for --out: a strict stdout encoding would refuse the surrogates
+        sys.stdout.flush()
+        sys.stdout.buffer.write(out_text.encode("utf-8", "surrogateescape"))
     else:
         sys.stdout.write(out_text)
 

@@ -13,7 +13,10 @@ Three engines compute edit distances:
   the rest of the table is the top-left corner of the full one.  Equal
   sequences cost O(n).  A shared prefix is not trimmed, because it can
   change the trace: from [a] to [a, a] the full backtrace inserts the
-  first `a` and matches the second;
+  first `a` and matches the second.  The table is filled four rows per
+  pass over the second sequence, still one Python update per cell: the
+  first sequence is padded to a multiple of four with a sentinel that
+  equals no word, and the padded rows are dropped before the backtrace;
 - `_scan`: a bigint bit-parallel (Myers) distance, distance only, read off
   the last column; `char_distance` runs it on page-sized strings with the
   joined reference as the pattern, through `_myers_distance`;
@@ -39,6 +42,9 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .core import EditCounts, Trace, join_words
+
+# Pads the word DP's rows to a multiple of four; it equals no word.
+_NO_WORD = object()
 
 
 def edit_distance(
@@ -69,24 +75,41 @@ def edit_distance(
     # items match or up or left is below diag, and diag + 1 otherwise.
     # diag + 1 is read from `succ`, so every cell points at a shared int
     # object instead of allocating one.
-    succ = list(range(1, n + m + 2))
+    #
+    # Rows are filled four at a time, one pass over y per block of four
+    # rows, which saves the loop overhead of three passes.  Going down a
+    # column, a row's diag is the cell the row above held as its left one
+    # column back, and its up is the cell just computed above; so the pass
+    # carries the diag read from the previous block's last row and the four
+    # rows' left cells (a, b, c, d).  x is padded to a multiple of four with
+    # `_NO_WORD`, so there is no second loop for the leftover rows; no row
+    # depends on the rows below it, and the padded rows are dropped before
+    # the backtrace.
+    # Each column appends its four cells to one list for the block, which
+    # is then sliced into exact-size rows: four row lists growing side by
+    # side raised `eval`'s peak RSS on a 2,000-word page from ~155 MB to
+    # up to 186 MB, likely by fragmenting the heap under hWER's matrix.
+    xs = [*x[:n], *(_NO_WORD,) * (-n % 4)]
+    succ = list(range(1, len(xs) + m + 2))
     row = [0, *succ[:m]]
     dist: list[list[int]] = [row]
-    for i, xi in enumerate(x[:n], 1):
-        prev = row
-        row = [i]
-        append = row.append
-        ups = iter(prev)
+    for i in range(0, len(xs), 4):
+        x0, x1, x2, x3 = xs[i:i + 4]
+        a, b, c, d = block = succ[i:i + 4]
+        extend = block.extend
+        ups = iter(row)
         diag = next(ups)
-        left = i
         for yj, up in zip(y, ups):
-            if xi == yj or up < diag or left < diag:
-                left = diag
-            else:
-                left = succ[diag]
-            append(left)
+            e = diag if x0 == yj or up < diag or a < diag else succ[diag]
             diag = up
-        dist.append(row)
+            f = a if x1 == yj or e < a or b < a else succ[a]
+            g = b if x2 == yj or f < b or c < b else succ[b]
+            d = c if x3 == yj or g < c or d < c else succ[c]
+            a, b, c = e, f, g
+            extend((a, b, c, d))
+        dist += [block[r::4] for r in range(4)]
+        row = dist[-1]
+    del dist[n + 1:]
 
     # backtrace, preferring diagonal, then deletion, then insertion; the
     # suffix pairs come first, as the walk from the last cell meets them

@@ -70,8 +70,13 @@ class DistortionConfig:
 
 
 def page_rng(seed: int, page_id: str) -> random.Random:
-    """Per-page PRNG stream (documented algorithm: Mersenne Twister)."""
-    return random.Random(f"{seed}:{page_id}")
+    """Per-page PRNG stream (documented algorithm: Mersenne Twister).
+
+    Seeded with the UTF-8 bytes of "seed:page_id", which `random.seed`
+    hashes exactly as it hashes the `str`; surrogateescape carries the raw
+    bytes of a non-UTF-8 file name instead of failing on them.
+    """
+    return random.Random(f"{seed}:{page_id}".encode("utf-8", "surrogateescape"))
 
 
 def corpus_alphabet(pages: Iterable[PageTranscript]) -> str:

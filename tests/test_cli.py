@@ -238,6 +238,41 @@ def test_eval_out_keeps_a_non_utf8_page_name(tmp_path, fmt):
         assert os.fsencode(page["page_id"]) == name
 
 
+def _non_utf8_corpus(tmp_path, sides=("ref", "hyp")):
+    name = b"caf\xe9.txt"
+    for side in sides:
+        (tmp_path / side).mkdir()
+        with open(os.fsencode(tmp_path / side) + b"/" + name, "wb") as f:
+            f.write(b"some words here\nand a second line\n")
+    return name
+
+
+def test_eval_stdout_keeps_a_non_utf8_page_name_under_strict_utf8(tmp_path):
+    # the usual stdout under a UTF-8 locale refuses the name's surrogates
+    name = _non_utf8_corpus(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+           "PYTHONIOENCODING": "utf-8:strict"}
+    done = subprocess.run(
+        [sys.executable, "-m", "pageval.cli", "eval", "--ref", str(tmp_path / "ref"),
+         "--hyp", str(tmp_path / "hyp"), "--per-page", "--format", "tsv"],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert b"\n" + name + b"\t0.0\t" in done.stdout
+
+
+@pytest.mark.parametrize("mode", [["--mode", "swap", "--swaps", "1"],
+                                  ["--mode", "char-word", "--sweep", "1"]])
+def test_simulate_keeps_a_non_utf8_page_name(tmp_path, mode):
+    name = _non_utf8_corpus(tmp_path, ("ref",))
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--ref", str(tmp_path / "ref"),
+                 "--out-dir", str(out_dir), *mode]) == 0
+    if "swap" in mode:
+        with open(os.fsencode(out_dir) + b"/" + name, "rb") as f:
+            assert f.read() == b"and a second line\nsome words here\n"
+
+
 def test_usage_error_exit_code_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--ref"])

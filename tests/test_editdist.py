@@ -133,6 +133,42 @@ def test_edit_distance_with_a_shared_suffix_matches_reference():
                 _assert_matches_reference(y, x)
 
 
+def test_edit_distance_block_fill_matches_reference_at_every_row_residue():
+    # the table is filled four rows per pass, the last block padded with
+    # rows that match no word: x's table rows (its length n - s once the
+    # shared suffix s is left out) take every residue mod 4, as do n and s,
+    # with y shorter than 4 words, longer, or empty; 2-3-item alphabets
+    # tie many cells, so the backtrace preference decides most traces
+    rng = random.Random(15)
+    for _ in range(3):
+        alphabet = "abc"[: rng.randint(2, 3)]
+
+        def draw(k):
+            return [rng.choice(alphabet) for _ in range(k)]
+
+        for rows in range(10):
+            for cols in range(10):
+                for s in range(5):
+                    hx, hy, tail = draw(rows), draw(cols), draw(s)
+                    if hx and hy and hx[-1] == hy[-1]:
+                        # the suffix the two share is exactly `tail`
+                        hy[-1] = next(w for w in alphabet if w != hx[-1])
+                    _assert_matches_reference(hx + tail, hy + tail)
+                    _assert_matches_reference(hy + tail, hx + tail)
+
+
+def test_edit_distance_block_fill_matches_reference_on_long_pairs():
+    # every residue of the row count mod 4, with cell values above 256
+    rng = random.Random(16)
+    vocab = ["a", "b", "c"]
+    y = [rng.choice(vocab) for _ in range(300)] + ["d"]
+    for n in range(600, 604):
+        x = [rng.choice(vocab) for _ in range(n)]
+        assert edit_distance(x, y)[0] > 256
+        _assert_matches_reference(x, y)
+        _assert_matches_reference(y, x)
+
+
 def test_edit_distance_keeps_the_trace_a_shared_prefix_would_change():
     # only the suffix is trimmed: the full backtrace from [a] to [a, a]
     # inserts the first `a` and matches the second

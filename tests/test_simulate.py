@@ -260,6 +260,14 @@ def test_determinism_same_seed_same_output():
         assert man1["algorithm"] == "mersenne-twister"
 
 
+def test_page_rng_draws_the_stream_of_its_str_seed():
+    # seeding with the UTF-8 bytes keeps every UTF-8 page name's stream
+    for page_id in ("p0001.txt", "caf\u00e9.txt"):
+        rng, ref = page_rng(7, page_id), random.Random(f"7:{page_id}")
+        assert [rng.random() for _ in range(5)] == [ref.random() for _ in range(5)]
+    page_rng(7, "caf\udce9.txt").random()  # the id of a non-UTF-8 file name
+
+
 def test_alphabet_from_corpus():
     page = PageTranscript((("ab", "ba"),), "p")
     assert corpus_alphabet([page]) == "ab"
