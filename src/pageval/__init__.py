@@ -30,7 +30,6 @@ from .simulate import (
     DistortionConfig,
     distort_chars,
     distort_corpus,
-    predict_bwer_split_increase,
     predict_nsfd_splits,
     predict_nsfd_swaps,
     predict_twer,
@@ -64,7 +63,6 @@ __all__ = [
     "hwer",
     "join_words",
     "nsfd",
-    "predict_bwer_split_increase",
     "predict_nsfd_splits",
     "predict_nsfd_swaps",
     "predict_twer",

@@ -33,7 +33,7 @@ import importlib.util
 import math
 import os
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,16 +75,15 @@ class CostMatrix:
     n_hyp: int
 
 
-# Packed reference words per read-out of the pair kernel: the read-out's
-# (v, words) uint64 gather is then at most 2 MB, and a block of whole lanes
-# holding at most that many words keeps the lane arrays smaller still.  A
-# larger block (9 MB at 2**21 pairs on a 2,000-word page) stays in the
-# process heap after it is freed and adds to the page's peak RSS.
-_PAIR_BLOCK_CELLS = 1 << 18
+# Cells per block of a pair-sized temporary.  A lane block of the pair
+# kernel holds at most this many (hypothesis word, packed reference word)
+# pairs, or one lane (at most 32 words), so its uint64 read-out is at most
+# 2 MB up to 8,192 distinct hypothesis words; `_assemble` fills its
+# real-pair block this many cells at a time.  A larger block (9 MB at 2**21
+# pairs on a 2,000-word page) stays in the process heap after it is freed
+# and adds to the page's peak RSS.
+_BLOCK_CELLS = 1 << 18
 _LANE_BITS = 64
-# Cells per row block of the real-pair block in `_assemble`: its integer
-# gathers and tie-break mask are then at most 256K cells each, not n*m.
-_ASSEMBLE_BLOCK_CELLS = 1 << 18
 # Reference word sequences whose kernel side `_reference_side` keeps.  A
 # sweep scores each reference once per step.  An entry holds some 33 KB for
 # a 300-word page and 70 KB for a 2,000-word page of the bench's Zipf
@@ -232,12 +231,12 @@ def _unique_pair_table(ref: _Reference, uy: list[str]) -> np.ndarray:
     The lane layout and the per-lane match masks come with `ref`, built
     once per reference (`_reference_side`); a call adds only the hypothesis
     side.  Lanes run in blocks of whole lanes holding at most
-    `_PAIR_BLOCK_CELLS // |uy|` packed words (at least one lane), and each
-    block is read out that many words at a time, straight into the one
-    result table.  Reference words that do not fit a lane (empty, or over
-    64 characters) fall back to the bigint engine one pair at a time, as
-    its pattern.  No distance exceeds the longer word's length, so the
-    table has the smallest unsigned dtype that holds the longest word.
+    `_BLOCK_CELLS // |uy|` packed words (at least one lane), and each block
+    is read out in one piece, straight into the one result table.
+    Reference words that do not fit a lane (empty, or over 64 characters)
+    fall back to the bigint engine one pair at a time, as its pattern.  No
+    distance exceeds the longer word's length, so the table has the
+    smallest unsigned dtype that holds the longest word.
     """
     u, v = len(ref.words), len(uy)
     lb = np.fromiter((len(w) for w in uy), dtype=np.int64, count=v)
@@ -272,7 +271,7 @@ def _unique_pair_table(ref: _Reference, uy: list[str]) -> np.ndarray:
     rows = rank[:, None]
 
     one = np.uint64(1)
-    per_block = max(1, _PAIR_BLOCK_CELLS // v)
+    per_block = max(1, _BLOCK_CELLS // v)
     starts = ref.starts
     first = 0
     while ref.packed.size and first < ref.low.size:
@@ -303,17 +302,16 @@ def _unique_pair_table(ref: _Reference, uy: list[str]) -> np.ndarray:
             vp_k &= keep
             np.bitwise_and(d0, hp, out=vn_k)
 
-        # (hypothesis, reference) read-outs, hypothesis words in input order
-        for w in range(starts[first], starts[last], per_block):
-            words = slice(w, min(w + per_block, starts[last]))
-            lane, field = ref.lane[words] - first, ref.field[words]
-            dist = np.subtract(
-                _field_counts(vp, rows, lane, field),
-                _field_counts(vn, rows, lane, field),
-                dtype=signed,
-            )
-            dist += top
-            table[ref.packed[words]] = dist.T
+        # (hypothesis, reference) read-out, hypothesis words in input order
+        words = slice(starts[first], starts[last])
+        lane, field = ref.lane[words] - first, ref.field[words]
+        dist = np.subtract(
+            _field_counts(vp, rows, lane, field),
+            _field_counts(vn, rows, lane, field),
+            dtype=signed,
+        )
+        dist += top
+        table[ref.packed[words]] = dist.T
         first = last
 
     for i in ref.loose:
@@ -337,6 +335,38 @@ def _pair_table(ref: _Reference, y: Sequence[str]) -> tuple[np.ndarray, np.ndarr
     return _unique_pair_table(ref, uy), cols
 
 
+def _memory_readings() -> Iterator[int]:
+    """Bytes a new allocation can take, as the system reports them: free
+    physical memory (one syscall), then the kernel's MemAvailable estimate,
+    which adds the caches it can reclaim and is read only if asked for.
+    A reading the system lacks is left out."""
+    try:
+        yield os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (ValueError, OSError):  # a name this system does not define
+        pass
+    try:
+        with open("/proc/meminfo", "rb") as meminfo:
+            for line in meminfo:
+                if line.startswith(b"MemAvailable:"):
+                    yield int(line.split()[1]) * 1024  # reported in kB
+    except OSError:
+        pass
+
+
+def _check_fits(nbytes: int) -> None:
+    """Raise MemoryError if `nbytes` exceed every memory reading, so a page
+    whose matrix cannot fit is a page error.  Under overcommit a larger
+    allocation may be granted lazily and then filled until the OOM killer
+    ends the process with no report.  No reading, no check."""
+    read = False
+    for available in _memory_readings():
+        if nbytes <= available:
+            return
+        read = True
+    if read:
+        raise MemoryError(f"{nbytes} bytes exceed the memory available")
+
+
 def _assemble(
     x: Sequence[str],
     y: Sequence[str],
@@ -354,10 +384,13 @@ def _assemble(
     `mismatch_bonus` (the tie-break perturbation) goes to every pair with a
     non-zero distance, that is to every pair of unequal words: it is added
     to the whole row block, and zero-distance cells are set back to 0.0,
-    which needs no masked add and no block-sized float temporary.
+    which needs no masked add and no block-sized float temporary.  A
+    matrix larger than the memory available raises MemoryError first
+    (`_check_fits`).
     """
     n, m = len(x), len(y)
     side = n + m
+    _check_fits(8 * side * side)
     ref = _reference_side(tuple(x))
     values = np.zeros((side, side), dtype=np.float64)
     if m:
@@ -372,7 +405,7 @@ def _assemble(
         mirror = np.concatenate((d[:0:-1], d))
         size = mirror.itemsize
         reg = np.ndarray((n, m), np.float64, mirror, size * (d.size - 1), (-size, size))
-        step = max(1, _ASSEMBLE_BLOCK_CELLS // m)
+        step = max(1, _BLOCK_CELLS // m)
         for start in range(0, n, step):
             stop = min(start + step, n)
             block = values[start:stop, :m]
@@ -496,11 +529,8 @@ def hwer(
     The alignment is the one consumed downstream by the reading-order
     metric and by hcer_errors.
     """
-    n = len(x)
-    if n == 0:
-        raise EmptyReferenceError("hWER is undefined for an empty reference")
     alignment = _canonical_solve(x, y, gamma)
-    return hwer_errors(x, y, alignment) / n, alignment
+    return hwer_errors(x, y, alignment) / len(x), alignment
 
 
 def reorder_hypothesis(

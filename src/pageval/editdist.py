@@ -209,10 +209,6 @@ def _myers_distance(a: str, b: str) -> int:
     """
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
     return _scan(_match_masks(a), len(a), b)
 
 

@@ -482,11 +482,3 @@ def predict_nsfd_splits(
         (n / m) / (m * m // 2) for m, n in zip(line_counts, word_counts)
     )
     return (7 / 6) * (splits / k) * disp
-
-
-def predict_bwer_split_increase(
-    splits: int, n_pages: int, total_words: int
-) -> float:
-    """Expected bWER increase from in-word splits: each in-word split makes
-    two word errors, and one split in four lands inside a word."""
-    return 2 * splits * (n_pages / 4) / total_words

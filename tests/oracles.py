@@ -2,7 +2,9 @@
 
 These stay deliberately naive (plain recursion, exhaustive enumeration,
 exact rational arithmetic) and share no code with the library paths they
-check.
+check.  The one exception to naive is the assignment optimality
+certificate, which runs Bellman-Ford on numpy arrays so that it can check
+pages of hundreds of words.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Sequence
+
+import numpy as np
 
 
 def edit_distance_bruteforce(x: Sequence, y: Sequence) -> int:
@@ -164,3 +168,64 @@ def alignment_cost_exact(
         else:
             cost += Fraction(len(y[k]), 2) + Fraction(gamma, n)
     return cost
+
+
+def square_assignment_costs(x: Sequence[str], y: Sequence[str]) -> np.ndarray:
+    """The hWER assignment at gamma = 1 as exact integers, ties included.
+
+    Square layout: rows are the n reference words, then m dummy rows;
+    columns are the m hypothesis words, then n dummy columns.  Costs are
+    scaled by 2n: a real pair costs 2n*lev + 2|j - k|, a word against a
+    dummy n*len + 2, dummy against dummy 0.  Each cost is multiplied by
+    K = 2(n + m) + 1 and a tie key is added: 2 per mismatched real pair, 1
+    per dummy pair.  K exceeds any key sum, so a matching's total orders
+    matchings by cost, then by hWER numerator.
+    """
+    n, m = len(x), len(y)
+    lev = {(a, b): lev_bruteforce(a, b) for a in set(x) for b in set(y)}
+    big_k = 2 * (n + m) + 1
+    costs = np.zeros((n + m, n + m), dtype=np.int64)
+    for j, a in enumerate(x):
+        costs[j, :m] = [
+            (2 * n * lev[a, b] + 2 * abs(j - k)) * big_k + 2 * (a != b)
+            for k, b in enumerate(y)
+        ]
+        costs[j, m:] = (n * len(a) + 2) * big_k + 1
+    for k, b in enumerate(y):
+        costs[n:, k] = (n * len(b) + 2) * big_k + 1
+    return costs
+
+
+def is_optimal_assignment(x: Sequence[str], y: Sequence[str], pairs) -> bool:
+    """Whether alignment `pairs` ((j, k), (j, None) or (None, k)) minimizes
+    `square_assignment_costs`, decided without an assignment solver.
+
+    The alignment is completed to a row-to-column permutation sigma of the
+    square layout: a word paired with None takes any free dummy, and the
+    left-over dummy rows take the left-over dummy columns.  Dummy cells are
+    equal along each row and column, so every such completion costs the
+    same.  sigma is optimal if and only if no cyclic exchange lowers the
+    total: row i taking column sigma(i') changes it by
+    W[i, i'] = C[i, sigma(i')] - C[i', sigma(i')], so the test is that the
+    graph W has no negative cycle, found by Bellman-Ford from a virtual
+    source joined to every node.
+    """
+    n, m = len(x), len(y)
+    costs = square_assignment_costs(x, y)
+    free_rows, free_cols = iter(range(n, n + m)), iter(range(m, m + n))
+    sigma = [-1] * (n + m)
+    for j, k in pairs:
+        sigma[next(free_rows) if j is None else j] = next(free_cols) if k is None else k
+    for row in free_rows:
+        sigma[row] = next(free_cols)
+    assert sorted(sigma) == list(range(n + m)), "not a perfect matching"
+    weights = costs[:, sigma] - costs[np.arange(n + m), sigma]
+    dist = np.zeros(n + m, dtype=np.int64)
+    # shortest paths from the source have at most n + m edges, so without a
+    # negative cycle the last of these passes changes nothing
+    for _ in range(n + m):
+        relaxed = (dist[:, None] + weights).min(axis=0)
+        if np.array_equal(relaxed, dist):
+            return True
+        dist = relaxed
+    return False

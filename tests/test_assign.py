@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -32,6 +33,7 @@ from oracles import (
     alignment_cost_exact,
     assignment_cost_bruteforce,
     edit_trace_reference,
+    is_optimal_assignment,
     lev_bruteforce,
 )
 
@@ -174,9 +176,10 @@ def test_unique_pair_table_row_blocks(monkeypatch):
     rng = random.Random(67)
     ux = _vocab(rng, "abc", [rng.randint(1, 9) for _ in range(11)] + [70])
     uy = _vocab(rng, "abcx", [rng.randint(1, 9) for _ in range(5)])
-    monkeypatch.setattr(assign, "_PAIR_BLOCK_CELLS", 3 * len(uy))
-    # read-outs of 3 words: the short words fill more than one lane, so
-    # the kernel runs several lane blocks, each of them read out in parts
+    monkeypatch.setattr(assign, "_BLOCK_CELLS", 3 * len(uy))
+    # lane blocks of at most 3 words: the short words fill more than one
+    # lane and the first lane holds more than 3, so the kernel runs several
+    # lane blocks, one of them a single lane over the bound
     ref = assign._reference_side(tuple(ux))
     assert len(ref.starts) > 2 and ref.starts[1] > 3
     got = _pair_costs(ux, uy)
@@ -184,9 +187,11 @@ def test_unique_pair_table_row_blocks(monkeypatch):
 
 
 def test_unique_pair_table_memory_is_bounded_by_row_blocks():
-    # a 2,990 x 2,983 vocabulary: the float64 table is 68 MB, and each row
-    # block's read-out adds at most ~36 MB; read out in one piece, the
-    # (v, u) gathers and counts take the peak to about 2.6x the table
+    # a 2,990 x 2,983 vocabulary: the uint8 table is 8.9 MB, and the traced
+    # peak with the reference side built is 14.0 MB, since each lane
+    # block's read-out holds at most 2**18 cells; read out for the whole
+    # vocabulary at once, the (v, u) gathers and counts would take it past
+    # twice the table
     rng = random.Random(73)
 
     def vocab(n):
@@ -285,7 +290,7 @@ def test_assemble_bitwise_equals_elementwise(monkeypatch, gamma):
     # row blocks of 7 cells: every page below spans several blocks, and a
     # block may be a single row; lopsided shapes read the regularizer from
     # either end of its mirrored vector
-    monkeypatch.setattr(assign, "_ASSEMBLE_BLOCK_CELLS", 7)
+    monkeypatch.setattr(assign, "_BLOCK_CELLS", 7)
     rng = random.Random(int(gamma * 1e4) + 3)
     vocab = _vocab(rng, "abé", [0, 1, 2, 3, 5, 8, 66])
     for n, m in ((13, 5), (6, 11), (9, 9), (4, 0), (1, 3), (1, 40), (40, 1), (2, 2)):
@@ -438,6 +443,89 @@ def test_assemble_memory_is_the_square_matrix():
     values, peak = _traced_peak(assign._assemble, x, y, 1.0, eps, eps / 2)
     assert values.shape == (len(x) + len(y),) * 2
     assert peak < values.nbytes + (4 << 20)
+
+
+@pytest.mark.parametrize("seed", [41, 42, 43])
+def test_hwer_alignment_is_certified_optimal_on_300_word_pages(seed):
+    # past the exhaustive oracles' 7 words a side: a solver-free
+    # certificate that no cyclic exchange lowers (cost, hWER numerator),
+    # on pages with word noise and swapped 10-word lines
+    x, y = _noisy_zipf_page_pair(seed, n=300)
+    _, alignment = hwer(x, y, 1.0)
+    assert is_optimal_assignment(x, y, alignment.pairs)
+
+
+def test_optimality_certificate_refuses_an_exchange_across_the_page():
+    # the first and last reference words trade partners: each pair's
+    # displacement grows by some 300 words
+    x, y = _noisy_zipf_page_pair(41, n=300)
+    _, alignment = hwer(x, y, 1.0)
+    real = sorted((j, k) for j, k in alignment.pairs if j is not None and k is not None)
+    p, q = real[0], real[-1]
+    swapped = (alignment.pairs - {p, q}) | {(p[0], q[1]), (q[0], p[1])}
+    assert not is_optimal_assignment(x, y, swapped)
+
+
+def _exact_total(x, y, pairs) -> Fraction:
+    # the certificate's objective, from the exact rational cost: cost*2n*K
+    # plus 2 per mismatched real pair and 1 per dummy pair
+    n, m = len(x), len(y)
+    key = sum(1 if j is None or k is None else 2 * (x[j] != y[k]) for j, k in pairs)
+    return alignment_cost_exact(x, y, pairs, 1) * 2 * n * (2 * (n + m) + 1) + key
+
+
+def test_optimality_certificate_agrees_with_exact_costs_on_swapped_partners():
+    # every exchange of partners between two real pairs of an optimal
+    # alignment: optimal exactly when it keeps the optimum's exact total
+    rng = random.Random(47)
+    verdicts = []
+    for _ in range(12):
+        x = [rng.choice(("a", "ab", "b")) for _ in range(rng.randint(3, 6))]
+        y = [rng.choice(("a", "ab", "b", "ba")) for _ in range(rng.randint(3, 6))]
+        _, alignment = hwer(x, y, 1.0)
+        best = _exact_total(x, y, alignment.pairs)
+        real = [(j, k) for j, k in alignment.pairs if j is not None and k is not None]
+        for p, q in itertools.combinations(real, 2):
+            swapped = (alignment.pairs - {p, q}) | {(p[0], q[1]), (q[0], p[1])}
+            verdict = is_optimal_assignment(x, y, swapped)
+            assert verdict == (_exact_total(x, y, swapped) == best), (x, y, p, q)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize(
+    ("readings", "fits"),
+    [([], True), ([100], True), ([99], False), ([50, 100], True), ([50, 99], False)],
+)
+def test_check_fits_against_every_memory_reading(monkeypatch, readings, fits):
+    # 100 bytes fit if one reading allows them; no reading, no check
+    monkeypatch.setattr(assign, "_memory_readings", lambda: iter(readings))
+    if fits:
+        assign._check_fits(100)
+    else:
+        with pytest.raises(MemoryError):
+            assign._check_fits(100)
+
+
+def test_check_fits_takes_the_second_reading_only_when_short(monkeypatch):
+    taken = []
+
+    def readings():
+        taken.append("free")
+        yield 100
+        taken.append("available")
+        yield 200
+
+    monkeypatch.setattr(assign, "_memory_readings", readings)
+    assign._check_fits(100)
+    assert taken == ["free"]
+    assign._check_fits(150)
+    assert taken == ["free", "free", "available"]
+
+
+def test_memory_readings_are_byte_counts():
+    readings = list(assign._memory_readings())
+    assert all(isinstance(r, int) and r > 0 for r in readings)
 
 
 def test_hwer_tie_break_is_exactly_lexicographic_at_scale():

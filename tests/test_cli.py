@@ -545,6 +545,34 @@ def test_eval_page_beyond_address_space_is_a_page_error(tmp_path, jobs):
     assert payload["corpus"]["n_pages"] == 1
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_eval_page_beyond_available_memory_is_a_page_error(tmp_path, monkeypatch, capsys, jobs):
+    # the readings report 1 MB: the small page's matrix fits and the
+    # 400-word page's 5 MB one is refused before it is allocated, in the
+    # forked workers too
+    from pageval import assign
+
+    words = [f"w{i % 50}" for i in range(400)]
+    ref = write_corpus(tmp_path / "ref", {"a.txt": "a few words\n",
+                                          "p.txt": " ".join(words) + "\n"})
+    hyp = write_corpus(tmp_path / "hyp", {"a.txt": "a few wordz\n",
+                                          "p.txt": " ".join(["zz", *words[1:]]) + "\n"})
+    monkeypatch.setattr(assign, "_memory_readings", lambda: iter([1 << 20, 1 << 20]))
+    out = tmp_path / "report.json"
+    code = main(["eval", "--ref", str(ref), "--hyp", str(hyp), "--out", str(out),
+                 "--jobs", jobs])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "eval: p.txt: not enough memory to score this page" in err
+    assert "Traceback" not in err
+    payload = json.loads(out.read_text())
+    assert payload["page_errors"] == [
+        {"page_id": "p.txt", "error": "not enough memory to score this page"}
+    ]
+    assert payload["corpus"]["n_pages"] == 1
+    assert payload["corpus"]["n_words"] == 3
+
+
 def test_simulate_sweep_out_of_memory_exit_two(tmp_path, monkeypatch, capsys):
     from pageval import report
 

@@ -54,7 +54,6 @@ def test_public_api_is_pinned():
         "hwer",
         "join_words",
         "nsfd",
-        "predict_bwer_split_increase",
         "predict_nsfd_splits",
         "predict_nsfd_swaps",
         "predict_twer",

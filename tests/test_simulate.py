@@ -20,7 +20,6 @@ from pageval.simulate import (
     page_rng,
     plan_splits,
     plan_swaps,
-    predict_bwer_split_increase,
     predict_nsfd_splits,
     predict_nsfd_swaps,
     predict_twer,
@@ -293,12 +292,6 @@ def test_predictor_splits():
     value = predict_nsfd_splits(2, [10], [80])
     assert value == pytest.approx((7 / 6) * 2 * (80 / 10) / 50)
     assert predict_nsfd_splits(0, [10], [80]) == 0.0
-
-
-def test_predictor_bwer_increase():
-    # published constants: 33 pages, 6955 running words -> 0.0023 per split
-    assert predict_bwer_split_increase(1, 33, 6955) == pytest.approx(0.0023, rel=0.04)
-    assert predict_bwer_split_increase(0, 33, 6955) == 0.0
 
 
 def test_predictor_twer():
