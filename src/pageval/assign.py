@@ -371,20 +371,20 @@ def _assemble(
     x: Sequence[str],
     y: Sequence[str],
     gamma: float,
-    mismatch_bonus: float = 0.0,
-    dummy_bonus: float = 0.0,
+    eps: float = 0.0,
 ) -> np.ndarray:
     """The square cost matrix, written into one allocation.
 
     The real-pair block is filled a row block at a time from the integer
     pair table, so besides the matrix only that table and block-sized
     temporaries are held.  Each cell is
-    (pair + bonus) + gamma*|j-k|/n in exactly that operation order: the
+    (pair + eps) + gamma*|j-k|/n in exactly that operation order: the
     solver's choice among tied optima depends on the last bit of every cell.
-    `mismatch_bonus` (the tie-break perturbation) goes to every pair with a
-    non-zero distance, that is to every pair of unequal words: it is added
-    to the whole row block, and zero-distance cells are set back to 0.0,
-    which needs no masked add and no block-sized float temporary.  A
+    The tie-break perturbation `eps` goes to every pair with a non-zero
+    distance, that is to every pair of unequal words: it is added to the
+    whole row block, and zero-distance cells are set back to 0.0, which
+    needs no masked add and no block-sized float temporary.  Dummy pairs
+    get `eps / 2`, as a dummy pair counts half an hWER error.  A
     matrix larger than the memory available raises MemoryError first
     (`_check_fits`).
     """
@@ -411,16 +411,16 @@ def _assemble(
             block = values[start:stop, :m]
             dist = table[rows[start:stop]][:, cols]
             block[...] = dist
-            if mismatch_bonus:
-                block += mismatch_bonus
+            if eps:
+                block += eps
                 block[dist == 0] = 0.0
             block += reg[start:stop]
     # dummy partners: half the word length, displacement term fixed at 1
     x_len = ref.lens[ref.rows]
-    values[:n, m:] = (x_len / 2 + gamma / n + dummy_bonus)[:, None]
+    values[:n, m:] = (x_len / 2 + gamma / n + eps / 2)[:, None]
     if m:
         y_len = np.fromiter((len(w) for w in y), dtype=np.float64, count=m)
-        values[n:, :m] = (y_len / 2 + gamma / n + dummy_bonus)[None, :]
+        values[n:, :m] = (y_len / 2 + gamma / n + eps / 2)[None, :]
     return values
 
 
@@ -497,7 +497,7 @@ def _canonical_solve(
     if gamma / n > 0 and tuple(x) == tuple(y):
         return Alignment(frozenset(zip(range(n), range(n))))
     eps = 1e-8 / (n + m)
-    values = _assemble(x, y, gamma, mismatch_bonus=eps, dummy_bonus=eps / 2)
+    values = _assemble(x, y, gamma, eps)
     return _decode_pairs(*linear_sum_assignment(values), n, m)
 
 

@@ -3,7 +3,9 @@ copies of them or the table of a distortion sweep.
 
 A corpus is a directory of UTF-8 plain-text files, one file per page, one
 physical line per text line, reading order given by file order.  Reference
-and hypothesis pages are paired by identical relative path.
+and hypothesis pages are paired by identical relative path.  Dotfiles,
+dot-directories and a top-level `manifest.json` (the one `simulate` writes
+next to its pages) are not pages, on either side.
 
 Exit codes: 0 success, 1 usage error (including an output path that cannot
 be written), 2 data errors (missing hypothesis or reference pages,
@@ -32,7 +34,8 @@ from .report import DEFAULT_GAMMA, CorpusReport, PageReport, aggregate, evaluate
 
 SCHEMA_VERSION = "pageval-report/1"
 # `simulate` writes its manifest next to the distorted pages, so a simulated
-# corpus used as a hypothesis corpus has this one file that is not a page.
+# corpus, read as a reference or a hypothesis or simulated again, has this
+# one top-level file that is not a page.
 MANIFEST = "manifest.json"
 
 # Metric columns of every report (JSON, TSV, sweep.tsv): header -> report
@@ -75,12 +78,13 @@ def _int_at_least(lo: int) -> Callable[[str], int]:
 
 
 def _iter_pages(root: Path) -> list[Path]:
-    """Page files under root; dotfiles and anything under a dot-directory
-    (.DS_Store, .git, editor swap files) are not pages."""
+    """Page files under root; dotfiles, anything under a dot-directory
+    (.DS_Store, .git, editor swap files) and root/MANIFEST are not pages."""
     return sorted(
         p
         for p in root.rglob("*")
         if p.is_file()
+        and p != root / MANIFEST
         and not any(part.startswith(".") for part in p.relative_to(root).parts)
     )
 
@@ -193,7 +197,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     reports = [r for _, r, err in results if r is not None]
     errors = [(rel, err) for rel, r, err in results if err is not None]
-    paired = {rel for rel, _, _ in results} | {MANIFEST}
+    paired = {rel for rel, _, _ in results}
     for hyp_path in _iter_pages(hyp_dir):
         rel = hyp_path.relative_to(hyp_dir).as_posix()
         if rel not in paired:

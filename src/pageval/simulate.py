@@ -8,11 +8,11 @@ applied operation is recorded in a manifest so measurements can be
 re-checked against what actually happened.
 
 `sweep` scores a corpus against its own distortion at each step of one
-parameter, next to the closed-form prediction.  Line-mode sweeps use prefix
-plans: the plan for the largest count is drawn once per page and smaller
-counts apply a prefix of it, which makes measured trends comparable point
-to point.  `distort_corpus` draws the same plans, so its pages equal the
-step at its count of any sweep that reaches that count.
+parameter, next to the closed-form prediction.  Step n is `distort_corpus`
+with the mode's count set to n.  A page's swap or split plan for n
+operations is the first n entries of its plan for more, so each step adds
+operations to the previous step's pages and measured trends are
+comparable point to point.
 """
 
 from __future__ import annotations
@@ -232,9 +232,10 @@ def plan_swaps(
     used: set[int] = set()
     plan: list[dict] = []
     for _ in range(max_swaps):
+        # no distance past m - 1 admits a pair, however large r_hi is
         feasible = [
             r
-            for r in range(r_lo, r_hi + 1)
+            for r in range(r_lo, min(r_hi, m - 1) + 1)
             if any(i not in used and i + r not in used for i in range(m - r))
         ]
         if not feasible:
@@ -337,37 +338,14 @@ def apply_splits(page: PageTranscript, plan: Sequence[dict]) -> PageTranscript:
 # corpus orchestration
 
 
-def _plan(page: PageTranscript, cfg: DistortionConfig, count: int) -> list[dict]:
-    """The page's plan of up to `count` line operations, from its own stream."""
-    rng = page_rng(cfg.seed, page.page_id)
-    if cfg.mode == LINE_SWAP:
-        lo, hi = cfg.swap_range
-        return plan_swaps(page, count, lo, hi, rng)
-    if cfg.mode == LINE_SPLIT:
-        return plan_splits(page, count, rng)
-    raise StructureError("plans exist only for swap/split modes")
-
-
-def _apply(
-    page: PageTranscript, cfg: DistortionConfig, plan: list[dict]
-) -> tuple[PageTranscript, dict]:
-    """Apply a line-mode plan; returns the page and its manifest entry."""
-    if cfg.mode == LINE_SWAP:
-        out, key = apply_swaps(page, plan), "swaps"
-    else:
-        out, key = apply_splits(page, plan), "splits"
-    return out, {"page_id": page.page_id, "mode": cfg.mode, key: plan}
-
-
-def _manifest(cfg: DistortionConfig, done: list[tuple], **extra: int) -> dict:
-    entries = [entry for _, entry in done]
-    return {"algorithm": RNG_ALGORITHM, "config": asdict(cfg), **extra, "pages": entries}
-
-
 def distort_corpus(
     pages: Sequence[PageTranscript], cfg: DistortionConfig
 ) -> tuple[list[PageTranscript], dict]:
-    """Distort every page per the config; returns pages plus a manifest."""
+    """Distort every page per the config; returns pages plus a manifest.
+
+    Each page, in page order, draws from its own stream, so pages that
+    share a page_id each get their own plan.
+    """
     if cfg.mode in (WORD_LEVEL, LINE_LEVEL):
         alphabet = corpus_alphabet(pages)
         done = [
@@ -375,31 +353,19 @@ def distort_corpus(
             for page in pages
         ]
     else:
-        count = cfg.swaps if cfg.mode == LINE_SWAP else cfg.splits
-        done = [_apply(page, cfg, _plan(page, cfg, count)) for page in pages]
-    return [out for out, _ in done], _manifest(cfg, done)
-
-
-def sweep_plans(
-    pages: Sequence[PageTranscript], cfg: DistortionConfig, max_count: int
-) -> list[list[dict]]:
-    """Per-page prefix plans for a swap or split sweep up to max_count, in
-    page order (pages may share a page_id)."""
-    return [_plan(page, cfg, max_count) for page in pages]
-
-
-def apply_sweep_step(
-    pages: Sequence[PageTranscript],
-    cfg: DistortionConfig,
-    plans: Sequence[list[dict]],
-    count: int,
-) -> tuple[list[PageTranscript], dict]:
-    """Apply the first `count` planned operations of each page; `plans` is
-    `sweep_plans` of the same pages."""
-    if len(plans) != len(pages):
-        raise StructureError(f"{len(plans)} plans for {len(pages)} pages")
-    done = [_apply(page, cfg, plan[:count]) for page, plan in zip(pages, plans)]
-    return [out for out, _ in done], _manifest(cfg, done, count=count)
+        done = []
+        for page in pages:
+            rng = page_rng(cfg.seed, page.page_id)
+            if cfg.mode == LINE_SWAP:
+                plan = plan_swaps(page, cfg.swaps, *cfg.swap_range, rng)
+                out, key = apply_swaps(page, plan), "swaps"
+            else:
+                plan = plan_splits(page, cfg.splits, rng)
+                out, key = apply_splits(page, plan), "splits"
+            done.append((out, {"page_id": page.page_id, "mode": cfg.mode, key: plan}))
+    entries = [entry for _, entry in done]
+    manifest = {"algorithm": RNG_ALGORITHM, "config": asdict(cfg), "pages": entries}
+    return [out for out, _ in done], manifest
 
 
 def sweep(
@@ -411,38 +377,37 @@ def sweep(
     """Score the pages against their own distortion at sweep steps
     0..max_count; yields (parameter, corpus report, trend columns).
 
-    Character modes sweep the schedule step (not cfg.tcer_step) against
-    tCER/tWER; line modes sweep the swap/split count against tNSFD, and
-    splits add the bWER increase of the in-word splits they realize.
+    Step n is `distort_corpus` with the mode's count (tcer_step, swaps or
+    splits) set to n; cfg's own count is not read.  Character modes set
+    the schedule step against tCER/tWER; line modes set the swap/split
+    count against tNSFD, and splits add the bWER increase of the in-word
+    splits they realize.
     """
     if max_count < 0:
         raise StructureError("the sweep maximum must be >= 0")
-    line_counts = [p.line_count for p in pages]
-    word_counts = [p.word_count for p in pages]
-    word_chars = sum(len(w) for p in pages for w in p.words)
-    char_mode = cfg.mode in (WORD_LEVEL, LINE_LEVEL)
-    plans = None if char_mode else sweep_plans(pages, cfg, max_count)
+    field = {LINE_SWAP: "swaps", LINE_SPLIT: "splits"}.get(cfg.mode, "tcer_step")
     for n in range(max_count + 1):
-        if char_mode:
-            distorted, manifest = distort_corpus(pages, replace(cfg, tcer_step=n))
-        else:
-            distorted, manifest = apply_sweep_step(pages, cfg, plans, n)
+        distorted, manifest = distort_corpus(pages, replace(cfg, **{field: n}))
         # evaluate_page rejects a page without words, so n_words > 0 below
         corpus = report.aggregate(
             [report.evaluate_page(r, h, gamma) for r, h in zip(pages, distorted)]
         )
-        if char_mode:
-            avg_wlen = word_chars / corpus.n_words
-            trend = {"tCER": tcer(n), "tWER": predict_twer(n, avg_wlen)}
-        elif cfg.mode == LINE_SWAP:
+        if cfg.mode == LINE_SWAP:
             lo, hi = cfg.swap_range
+            line_counts = [p.line_count for p in pages]
             trend = {"tNSFD": predict_nsfd_swaps(n, lo, hi, line_counts)}
-        else:
+        elif cfg.mode == LINE_SPLIT:
+            line_counts = [p.line_count for p in pages]
+            word_counts = [p.word_count for p in pages]
             in_word = sum(s["in_word"] for e in manifest["pages"] for s in e["splits"])
             trend = {
                 "tNSFD": predict_nsfd_splits(n, line_counts, word_counts),
                 "tbWER_increase": 2 * in_word / corpus.n_words,
             }
+        else:
+            word_chars = sum(len(w) for p in pages for w in p.words)
+            avg_wlen = word_chars / corpus.n_words
+            trend = {"tCER": tcer(n), "tWER": predict_twer(n, avg_wlen)}
         yield n, corpus, trend
 
 

@@ -12,6 +12,7 @@ import random
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,10 +37,8 @@ from pageval.simulate import (
     LINE_SWAP,
     WORD_LEVEL,
     DistortionConfig,
-    apply_sweep_step,
     distort_corpus,
     predict_nsfd_swaps,
-    sweep_plans,
     tcer,
 )
 
@@ -301,11 +300,10 @@ def test_criterion_5_simulation_trends():
 
     with criterion("5a", "line-swap sweep: bWER exactly 0, WER/NSFD increasing, "
                          "NSFD within 30% of predictor for S in 1..4"):
-        cfg = DistortionConfig(mode=LINE_SWAP, seed=77, swaps=8, swap_range=(4, 7))
-        plans = sweep_plans(pages, cfg, 8)
+        cfg = DistortionConfig(mode=LINE_SWAP, seed=77, swap_range=(4, 7))
         wers, rhos = [], []
         for s in range(0, 9):
-            distorted, _ = apply_sweep_step(pages, cfg, plans, s)
+            distorted, _ = distort_corpus(pages, replace(cfg, swaps=s))
             corpus = _evaluate_corpus(pages, distorted)
             assert corpus.bwer == 0.0, f"S={s}: bWER {corpus.bwer}"
             wers.append(corpus.wer)
@@ -319,10 +317,9 @@ def test_criterion_5_simulation_trends():
 
     with criterion("5b", "line-split sweep: bWER increase within 50% of "
                          "two-errors-per-in-word-split"):
-        cfg = DistortionConfig(mode=LINE_SPLIT, seed=78, splits=6)
-        plans = sweep_plans(pages, cfg, 6)
+        cfg = DistortionConfig(mode=LINE_SPLIT, seed=78)
         for s in range(0, 7):
-            distorted, manifest = apply_sweep_step(pages, cfg, plans, s)
+            distorted, manifest = distort_corpus(pages, replace(cfg, splits=s))
             corpus = _evaluate_corpus(pages, distorted)
             in_word = sum(
                 1 for e in manifest["pages"] for op in e["splits"] if op["in_word"]

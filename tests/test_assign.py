@@ -270,11 +270,12 @@ def test_solver_falls_back_to_public_import(monkeypatch):
     assert assign._load_lsap() is scipy.optimize.linear_sum_assignment
 
 
-def _assemble_elementwise(x, y, gamma, mismatch_bonus, dummy_bonus):
+def _assemble_elementwise(x, y, gamma, eps):
     n, m = len(x), len(y)
+    dummy_bonus = eps / 2
     rows = [
         [
-            (lev_bruteforce(a, b) + (mismatch_bonus if a != b else 0.0))
+            (lev_bruteforce(a, b) + (eps if a != b else 0.0))
             + (gamma * abs(j - k)) / n
             for k, b in enumerate(y)
         ]
@@ -297,8 +298,8 @@ def test_assemble_bitwise_equals_elementwise(monkeypatch, gamma):
         x = [rng.choice(vocab) for _ in range(n)]
         y = [rng.choice(vocab) for _ in range(m)]
         eps = 1e-8 / (n + m)
-        got = assign._assemble(x, y, gamma, eps, eps / 2)
-        want = _assemble_elementwise(x, y, gamma, eps, eps / 2)
+        got = assign._assemble(x, y, gamma, eps)
+        want = _assemble_elementwise(x, y, gamma, eps)
         assert got.tobytes() == want.tobytes()
 
 
@@ -440,7 +441,7 @@ def test_assemble_memory_is_the_square_matrix():
     # its small counts) may be held at a time
     x, y = _noisy_zipf_page_pair(seed=37, n=1000, vocab_size=2000)
     eps = 1e-8 / (len(x) + len(y))
-    values, peak = _traced_peak(assign._assemble, x, y, 1.0, eps, eps / 2)
+    values, peak = _traced_peak(assign._assemble, x, y, 1.0, eps)
     assert values.shape == (len(x) + len(y),) * 2
     assert peak < values.nbytes + (4 << 20)
 
@@ -586,10 +587,10 @@ def _counting_solver(monkeypatch):
 
 
 def _solved_alignment(x, y, gamma):
-    # `_canonical_solve`'s solver path: the same bonuses, then the solve
+    # `_canonical_solve`'s solver path: the same eps, then the solve
     n, m = len(x), len(y)
     eps = 1e-8 / (n + m)
-    values = assign._assemble(x, y, gamma, mismatch_bonus=eps, dummy_bonus=eps / 2)
+    values = assign._assemble(x, y, gamma, eps)
     return assign._decode_pairs(*assign.linear_sum_assignment(values), n, m)
 
 

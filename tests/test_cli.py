@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pageval import cli
+from pageval import cli, simulate
 from pageval.cli import main
 
 from conftest import FIG_HYP_LINES, FIG_LEFT, FIG_RIGHT, synthetic_corpus
@@ -311,6 +311,70 @@ def test_simulate_swap_then_eval_bwer_zero(tmp_path):
     assert payload["corpus"]["metrics"]["bWER"] == 0.0
     assert payload["corpus"]["metrics"]["WER"] > 0.0
     assert all(p["metrics"]["bWER"] == 0.0 for p in payload["pages"])
+
+
+def test_eval_of_a_simulated_reference_scores_no_manifest(tmp_path, capsys):
+    # the manifest `simulate` writes next to its pages is not a page, on the
+    # reference side too
+    pages = synthetic_corpus(2, 6, 4, seed=54)
+    ref = write_corpus(tmp_path / "ref", {p.page_id: p.text() + "\n" for p in pages})
+    noisy = tmp_path / "noisy"
+    assert main(["simulate", "--ref", str(ref), "--out-dir", str(noisy),
+                 "--mode", "swap", "--swaps", "1"]) == 0
+    report = tmp_path / "report.json"
+    assert main(["eval", "--ref", str(noisy), "--hyp", str(ref), "--out",
+                 str(report), "--per-page"]) == 0
+    assert "manifest.json" not in capsys.readouterr().err
+    payload = json.loads(report.read_text())
+    assert [p["page_id"] for p in payload["pages"]] == [p.page_id for p in pages]
+    assert payload["corpus"]["metrics"]["bWER"] == 0.0
+    assert payload["corpus"]["metrics"]["WER"] > 0.0
+
+
+def test_simulate_of_a_simulated_corpus_distorts_only_its_pages(tmp_path):
+    # the old manifest is neither distorted, nor listed, nor a source of
+    # alphabet characters that would change the noise on the real pages
+    pages = synthetic_corpus(2, 6, 4, seed=55)
+    ref = write_corpus(tmp_path / "ref", {p.page_id: p.text() + "\n" for p in pages})
+    noisy, again = tmp_path / "noisy", tmp_path / "again"
+    assert main(["simulate", "--ref", str(ref), "--out-dir", str(noisy),
+                 "--mode", "swap", "--swaps", "1"]) == 0
+    assert main(["simulate", "--ref", str(noisy), "--out-dir", str(again),
+                 "--mode", "char-word", "--tcer-step", "3", "--seed", "4"]) == 0
+    real = [cli._load_page(noisy / p.page_id, p.page_id) for p in pages]
+    want, manifest = simulate.distort_corpus(
+        real, simulate.DistortionConfig(mode=simulate.WORD_LEVEL, seed=4, tcer_step=3)
+    )
+    assert sorted(f.name for f in again.iterdir()) == sorted(
+        [*(p.page_id for p in pages), "manifest.json"]
+    )
+    for page in want:
+        assert (again / page.page_id).read_text() == page.text() + "\n"
+    assert json.loads((again / "manifest.json").read_text())["pages"] == manifest["pages"]
+
+
+def test_simulate_swap_range_beyond_the_page_is_the_page(tmp_path):
+    # no distance past line_count - 1 admits a swap, so a huge upper bound
+    # draws what the largest useful one draws, without visiting the rest
+    pages = synthetic_corpus(3, 4, 3, seed=56)
+    ref = write_corpus(tmp_path / "ref", {p.page_id: p.text() + "\n" for p in pages})
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    outs = []
+    for hi in ("3", "1000000000000"):
+        out = tmp_path / f"out{hi}"
+        done = subprocess.run(
+            [sys.executable, "-m", "pageval.cli", "simulate", "--ref", str(ref),
+             "--out-dir", str(out), "--mode", "swap", "--swaps", "2",
+             "--swap-range", "1", hi, "--seed", "5"],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert done.returncode == 0, done.stderr
+        outs.append(out)
+    for page in pages:
+        assert (outs[0] / page.page_id).read_text() == (outs[1] / page.page_id).read_text()
+    manifests = [json.loads((out / "manifest.json").read_text()) for out in outs]
+    assert manifests[0]["pages"] == manifests[1]["pages"]
+    assert any(entry["swaps"] for entry in manifests[0]["pages"])
 
 
 def test_simulate_sweep_writes_tsv(tmp_path):

@@ -1,10 +1,12 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from pageval.bow import bwer
 from pageval.core import PageTranscript, StructureError
 from pageval.editdist import char_distance
+from pageval.report import aggregate, evaluate_page
 from pageval.simulate import (
     LINE_LEVEL,
     LINE_SPLIT,
@@ -13,7 +15,6 @@ from pageval.simulate import (
     DistortionConfig,
     apply_splits,
     apply_swaps,
-    apply_sweep_step,
     corpus_alphabet,
     distort_chars,
     distort_corpus,
@@ -23,7 +24,7 @@ from pageval.simulate import (
     predict_nsfd_splits,
     predict_nsfd_swaps,
     predict_twer,
-    sweep_plans,
+    sweep,
     tcer,
 )
 
@@ -200,49 +201,55 @@ def test_split_in_word_adds_two_bag_errors():
 
 
 def test_sweep_prefix_property():
+    # the plan for c operations is the first c entries of the plan for c + 4
+    # from the same stream, so each sweep step extends the step before it
+    short = PageTranscript((("a", "bc"), ("d",), ("ef", "g")), "short.txt")
+    for page in synthetic_corpus(4, 16, 8, seed=21) + [short]:
+        for c in range(9):
+            swaps = plan_swaps(page, c + 4, 2, 7, page_rng(9, page.page_id))
+            assert plan_swaps(page, c, 2, 7, page_rng(9, page.page_id)) == swaps[:c]
+            splits = plan_splits(page, c + 4, page_rng(9, page.page_id))
+            assert plan_splits(page, c, page_rng(9, page.page_id)) == splits[:c]
+    # the S=4 corpus differs from the S=3 corpus on every page with a 4th swap
     pages = synthetic_corpus(4, 16, 8, seed=21)
-    cfg = DistortionConfig(mode=LINE_SWAP, seed=9, swaps=8, swap_range=(4, 7))
-    plans = sweep_plans(pages, cfg, 8)
-    step3, _ = apply_sweep_step(pages, cfg, plans, 3)
-    step4, _ = apply_sweep_step(pages, cfg, plans, 4)
-    # the S=4 corpus extends the S=3 corpus by exactly one more swap per page
-    for p3, p4, page, plan in zip(step3, step4, pages, plans):
-        undo = apply_sweep_step([page], cfg, [plan], min(3, len(plan)))[0][0]
-        assert p3.lines == undo.lines
-        assert p3.words != p4.words or len(plan) <= 3
+    cfg = DistortionConfig(mode=LINE_SWAP, seed=9, swap_range=(4, 7))
+    step3, _ = distort_corpus(pages, replace(cfg, swaps=3))
+    step4, manifest = distort_corpus(pages, replace(cfg, swaps=4))
+    for p3, p4, entry in zip(step3, step4, manifest["pages"]):
+        assert (p3.words != p4.words) == (len(entry["swaps"]) == 4)
 
 
-def test_sweep_plans_follow_page_order_not_page_id():
+def test_distort_corpus_plans_follow_page_order_not_page_id():
     # API pages may share an id (the default is ""): each keeps its own plan
     short = PageTranscript((("a", "b"), ("c", "d")))
     long = PageTranscript(tuple((f"w{i}", "x") for i in range(8)))
     cfg = DistortionConfig(mode=LINE_SWAP, seed=1, swaps=2, swap_range=(3, 6))
-    plans = sweep_plans([short, long], cfg, 2)
-    assert plans[0] == [] and len(plans[1]) == 2
-    out, _ = apply_sweep_step([short, long], cfg, plans, 2)
-    assert out[0].lines == short.lines
-    assert [p.lines for p in out] == [p.lines for p in distort_corpus([short, long], cfg)[0]]
-    with pytest.raises(StructureError):
-        apply_sweep_step([short, long], cfg, plans[:1], 2)
+    own = plan_swaps(long, 2, 3, 6, page_rng(1, ""))
+    assert len(own) == 2
+    for pages in ([short, long], [long, short]):
+        out, manifest = distort_corpus(pages, cfg)
+        for page, got, entry in zip(pages, out, manifest["pages"]):
+            want = own if page is long else []
+            assert entry["swaps"] == want
+            assert got.lines == apply_swaps(page, want).lines
 
 
 @pytest.mark.parametrize("mode", [LINE_SWAP, LINE_SPLIT])
 @pytest.mark.parametrize("seed", [0, 5, 23])
 def test_distort_corpus_is_the_last_sweep_step(mode, seed):
+    # every sweep row scores distort_corpus at that row's count
     short = PageTranscript((("a", "bc"), ("d",)), "short.txt")
     pages = synthetic_corpus(4, 7, 3, seed=60 + seed) + [short]
-    for count in (0, 1, 3, 8):
-        cfg = DistortionConfig(
-            mode=mode, seed=seed, swaps=count, splits=count, swap_range=(1, 3)
-        )
-        out, manifest = distort_corpus(pages, cfg)
-        # a shorter plan is a prefix of a longer one
-        for max_count in (count, count + 4):
-            plans = sweep_plans(pages, cfg, max_count)
-            step, step_manifest = apply_sweep_step(pages, cfg, plans, count)
-            assert [p.lines for p in step] == [p.lines for p in out]
-            assert step_manifest["pages"] == manifest["pages"]
-            assert step_manifest["count"] == count and "count" not in manifest
+    cfg = DistortionConfig(mode=mode, seed=seed, swap_range=(1, 3))
+    rows = list(sweep(pages, cfg, 8, 1.0))
+    assert [count for count, _, _ in rows] == list(range(9))
+    for count, corpus, trend in rows:
+        out, manifest = distort_corpus(pages, replace(cfg, swaps=count, splits=count))
+        want = aggregate([evaluate_page(r, h, 1.0) for r, h in zip(pages, out)])
+        assert replace(corpus, pages=()) == replace(want, pages=())
+        if mode == LINE_SPLIT:
+            in_word = sum(s["in_word"] for e in manifest["pages"] for s in e["splits"])
+            assert trend["tbWER_increase"] == 2 * in_word / want.n_words
 
 
 def test_determinism_same_seed_same_output():
